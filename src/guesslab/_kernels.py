@@ -1,36 +1,23 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, vectorised with numpy.
 
-The backend is picked by the environment variable GUESSLAB_KERNELS:
-"numba" forces the jitted path, "numpy" forces the vectorised fallback,
-anything else (or unset) means "numba when importable, numpy otherwise".
-Both paths must return identical results; benchmarks/bench_kernels.py
-compares their speed.
+- `fixed_point_mask`: which states of a coding function are fixed points.
+- `modular_ranks`: ranks over GF(q) of a batch of square matrices, by a
+  swap-free elimination; over GF(2) each row is packed into one machine
+  word and eliminated by XOR (the M4RI idea, Albrecht-Bard-Hart 2010).
+- `ids_size_counts`: in-dominating sets counted by size, over all subsets.
+
+There is one implementation per kernel; `backend()` names it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
+from .errors import PreconditionError
 
 
 def backend() -> str:
-    choice = os.environ.get("GUESSLAB_KERNELS", "auto").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("GUESSLAB_KERNELS=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
 def _flatten_tables(n, q, supports, tables):
@@ -55,34 +42,17 @@ def _flatten_tables(n, q, supports, tables):
 # fixed-point mask over the full state space
 # ---------------------------------------------------------------------------
 
-def _fix_mask_py(n, q, sup_flat, sup_off, tab_flat, tab_off):
+def fixed_point_mask(n, q, supports, tables):
+    """uint8 mask over state codes 0..q**n-1, 1 where f(x) == x.
+
+    State code c encodes x big-endian: x[0] is the most significant digit,
+    so ascending codes are lexicographically ascending tuples.
+    """
+    if n == 0:
+        return np.ones(1, dtype=np.uint8)
+    sup_flat, sup_off, tab_flat, tab_off = _flatten_tables(n, q, supports, tables)
     total = q**n
-    out = np.zeros(total, dtype=np.uint8)
-    digits = np.empty(n, dtype=np.int64)
-    for code in range(total):
-        c = code
-        for v in range(n - 1, -1, -1):
-            digits[v] = c % q
-            c //= q
-        ok = True
-        for v in range(n):
-            row = 0
-            for k in range(sup_off[v], sup_off[v + 1]):
-                row = row * q + digits[sup_flat[k]]
-            if tab_flat[tab_off[v] + row] != digits[v]:
-                ok = False
-                break
-        if ok:
-            out[code] = 1
-    return out
-
-
-if HAS_NUMBA:
-    _fix_mask_nb = njit(cache=True)(_fix_mask_py)
-
-
-def _fix_mask_np(n, q, sup_flat, sup_off, tab_flat, tab_off, chunk=1 << 18):
-    total = q**n
+    chunk = 1 << 18
     out = np.zeros(total, dtype=np.uint8)
     weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)  # big-endian digits
     for start in range(0, total, chunk):
@@ -102,130 +72,117 @@ def _fix_mask_np(n, q, sup_flat, sup_off, tab_flat, tab_off, chunk=1 << 18):
     return out
 
 
-def fixed_point_mask(n, q, supports, tables):
-    """uint8 mask over state codes 0..q**n-1, 1 where f(x) == x.
-
-    State code c encodes x big-endian: x[0] is the most significant digit,
-    so ascending codes are lexicographically ascending tuples.
-    """
-    if n == 0:
-        return np.ones(1, dtype=np.uint8)
-    sup_flat, sup_off, tab_flat, tab_off = _flatten_tables(n, q, supports, tables)
-    if backend() == "numba":
-        return _fix_mask_nb(n, q, sup_flat, sup_off, tab_flat, tab_off)
-    return _fix_mask_np(n, q, sup_flat, sup_off, tab_flat, tab_off)
-
-
 # ---------------------------------------------------------------------------
-# batched rank of (A - I) mod prime q, reported as fixed-point counts
+# batched rank over GF(q)
 # ---------------------------------------------------------------------------
+#
+# Both eliminations are swap-free: for each column the first row that is
+# nonzero there is the pivot, and a multiple of it is subtracted from every
+# row that is nonzero there, the pivot row included.  The pivot row becomes
+# zero, so it retires itself with no row swap and no gather or scatter of
+# whole matrices; the rank is the number of columns that found a pivot.
 
-def _ranks_mod_py(mats, q, inv):
+
+def _ranks_gf2_packed(mats):
+    """GF(2) ranks with each row of at most 64 columns in one uint64."""
     B, n, _ = mats.shape
-    out = np.empty(B, dtype=np.int64)
-    for b in range(B):
-        A = mats[b]
-        r = 0
-        for c in range(n):
-            piv = -1
-            for i in range(r, n):
-                if A[i, c] != 0:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for j in range(c, n):
-                    t = A[r, j]
-                    A[r, j] = A[piv, j]
-                    A[piv, j] = t
-            iv = inv[A[r, c]]
-            for j in range(c, n):
-                A[r, j] = (A[r, j] * iv) % q
-            for i in range(r + 1, n):
-                f = A[i, c]
-                if f != 0:
-                    for j in range(c, n):
-                        A[i, j] = (A[i, j] - f * A[r, j]) % q
-            r += 1
-            if r == n:
-                break
-        out[b] = r
+    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    rows = (mats & 1).astype(np.uint64) @ weights
+    ranks = np.zeros(B, dtype=np.int64)
+    bidx = np.arange(B)
+    for c in range(n):
+        has = (rows & weights[c]) != 0
+        prow = rows[bidx, has.argmax(axis=1)]
+        rows ^= np.where(has, prow[:, None], np.uint64(0))
+        ranks += (prow & weights[c]) != 0
+    return ranks
+
+
+def _narrowest_dtype(q):
+    need = (q - 1) ** 2 + q
+    for dt in (np.int16, np.int32, np.int64):
+        if need <= np.iinfo(dt).max:
+            return dt
+    raise PreconditionError(f"GF({q}) ranks need (q-1)**2 + q = {need} to fit in int64")
+
+
+def _inverses(a, q):
+    """a**(q-2) mod q: the inverse of each unit of a, by Fermat's little theorem.
+
+    Square-and-multiply takes log2(q) steps and needs no table of q entries.
+    """
+    out = np.ones_like(a)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * a % q
+        a = a * a % q
+        e >>= 1
     return out
 
 
-if HAS_NUMBA:
-    _ranks_mod_nb = njit(cache=True)(_ranks_mod_py)
+def _ranks_mod(mats, q):
+    """GF(q) ranks, entries held in the narrowest dtype that holds (q-1)**2 + q.
 
-
-def _ranks_mod_np(mats, q, inv):
-    A = mats
-    B, n, _ = A.shape
-    r = np.zeros(B, dtype=np.int64)
-    rows = np.arange(n, dtype=np.int64)
-    bidx = np.arange(B, dtype=np.int64)
+    Only the pivot column and the pivot row are reduced mod q at each step.
+    The rest of the matrix is reduced only when the running bound on its
+    entries' magnitude would otherwise leave the dtype.
+    """
+    B, n, _ = mats.shape
+    dt = _narrowest_dtype(q)
+    if mats.min() < 0 or mats.max() >= q:
+        mats = mats % q
+    A = mats.astype(dt)
+    step = (q - 1) ** 2
+    limit = np.iinfo(dt).max
+    bound = q - 1  # no entry of A exceeds this in magnitude
+    ranks = np.zeros(B, dtype=np.int64)
+    bidx = np.arange(B)
     for c in range(n):
-        candidates = (A[:, :, c] != 0) & (rows[None, :] >= r[:, None])
-        has = candidates.any(axis=1)
-        if not has.any():
-            continue
-        piv = np.argmax(candidates, axis=1)
-        sel = bidx[has]
-        rr = r[has]
-        pp = piv[has]
-        tmp = A[sel, rr].copy()
-        A[sel, rr] = A[sel, pp]
-        A[sel, pp] = tmp
-        iv = inv[A[sel, rr, c]]
-        A[sel, rr] = (A[sel, rr] * iv[:, None]) % q
-        below = rows[None, :] > rr[:, None]
-        factors = np.where(below, A[sel][:, :, c], 0)
-        A[sel] = (A[sel] - factors[:, :, None] * A[sel, rr][:, None, :]) % q
-        r[has] += 1
-    return r
+        col = A[:, :, c] % q
+        piv = (col != 0).argmax(axis=1)
+        pc = col[bidx, piv]
+        ranks += pc != 0
+        if c + 1 == n:
+            break
+        rest = A[:, :, c + 1 :]
+        if bound + step > limit:
+            rest %= q
+            bound = q - 1
+        prow = rest[bidx, piv] % q * _inverses(pc, q)[:, None] % q
+        rest -= col[:, :, None] * prow[:, None, :]
+        bound += step
+    return ranks
 
 
 def modular_ranks(mats, q):
-    """Ranks of a (B, n, n) int64 batch over GF(q), q prime. Mutates mats."""
-    inv = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        inv[a] = pow(a, -1, q)
-    if mats.shape[0] == 0 or mats.shape[1] == 0:
-        return np.zeros(mats.shape[0], dtype=np.int64)
-    if backend() == "numba":
-        return _ranks_mod_nb(mats, q, inv)
-    return _ranks_mod_np(mats, q, inv)
+    """Ranks over GF(q), q prime, of a (B, n, n) integer batch; mats is unchanged.
+
+    Entries are read mod q.  Raises PreconditionError when (q-1)**2 + q
+    does not fit in int64.
+    """
+    mats = np.asarray(mats)
+    B, n = mats.shape[0], mats.shape[1]
+    if B == 0 or n == 0:
+        return np.zeros(B, dtype=np.int64)
+    if q == 2 and n <= 64:
+        return _ranks_gf2_packed(mats)
+    return _ranks_mod(mats, q)
 
 
 # ---------------------------------------------------------------------------
 # in-dominating set counts by size
 # ---------------------------------------------------------------------------
 
-def _ids_counts_py(in_masks, need, n):
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for x in range(1 << n):
-        ok = True
-        for v in range(n):
-            if need[v] and (x >> v) & 1 == 0 and (x & in_masks[v]) == 0:
-                ok = False
-                break
-        if ok:
-            pc = 0
-            y = x
-            while y:
-                y &= y - 1
-                pc += 1
-            counts[pc] += 1
-    return counts
-
-
-if HAS_NUMBA:
-    _ids_counts_nb = njit(cache=True)(_ids_counts_py)
-
-
-def _ids_counts_np(in_masks, need, n, chunk=1 << 20):
+def ids_size_counts(in_masks, need, n):
+    """counts[k] = number of in-dominating sets of size k (loopless digraph)."""
+    in_masks = np.asarray(in_masks, dtype=np.int64)
+    need = np.asarray(need, dtype=np.uint8)
+    if n == 0:
+        return np.ones(1, dtype=np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
     total = 1 << n
+    chunk = 1 << 20
     for start in range(0, total, chunk):
         xs = np.arange(start, min(start + chunk, total), dtype=np.int64)
         ok = np.ones(xs.shape[0], dtype=bool)
@@ -238,14 +195,3 @@ def _ids_counts_np(in_masks, need, n, chunk=1 << 20):
             pc += (good >> v) & 1
         counts += np.bincount(pc, minlength=n + 1)
     return counts
-
-
-def ids_size_counts(in_masks, need, n):
-    """counts[k] = number of in-dominating sets of size k (loopless digraph)."""
-    in_masks = np.asarray(in_masks, dtype=np.int64)
-    need = np.asarray(need, dtype=np.uint8)
-    if n == 0:
-        return np.ones(1, dtype=np.int64)
-    if backend() == "numba":
-        return _ids_counts_nb(in_masks, need, n)
-    return _ids_counts_np(in_masks, need, n)

@@ -167,20 +167,21 @@ def linear_guessing(g, q, mode="g", relaxed=False, search_cap=SEARCH_CAP, chunk=
     prime = is_prime(q)
     if not prime:
         return _linear_guessing_slow(g, q, mode, arcs, allowed, total)
-    best_count = -1
+    # the fixed-point count q**(n - rank) can exceed int64, so select by
+    # minimum rank and form the count as a Python int
+    best_rank = g.n + 1
     best_code = 0
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
         mats = _scatter_matrices(codes, arcs, allowed, g.n, q)
         ranks = _kernels.modular_ranks(mats, q)
-        counts = q ** (g.n - ranks)
-        idx = int(np.argmax(counts))
-        if int(counts[idx]) > best_count:
-            best_count = int(counts[idx])
+        idx = int(np.argmin(ranks))
+        if int(ranks[idx]) < best_rank:
+            best_rank = int(ranks[idx])
             best_code = start + idx
     witness = _decode_witness(best_code, arcs, allowed, g.n, q)
-    dim = int(round(math.log(best_count, q))) if best_count > 1 else 0
-    return LinearReport(g, q, mode, best_count, dim, witness)
+    dim = g.n - best_rank
+    return LinearReport(g, q, mode, q**dim, dim, witness)
 
 
 def _decode_witness(code, arcs, allowed, n, q):

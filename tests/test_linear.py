@@ -6,7 +6,7 @@ import pytest
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.constructions import clique_solution, fig6_graph, gk_family
-from guesslab.digraph import Digraph, bidirectional_union, count_paths_through, symmetrized
+from guesslab.digraph import Digraph, add_loops, bidirectional_union, count_paths_through, symmetrized
 from guesslab.errors import NotAcyclicError, ResourceBoundError
 from guesslab.guessing import guessing_number
 from guesslab.linear import (
@@ -88,6 +88,15 @@ def test_linear_guessing_c5():
         rep = linear_guessing(c5, q, "g")
         assert rep.max_fix == q**2  # k = 3 never reached
     assert feedback_number(c5) == 3
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_linear_guessing_count_beyond_int64(n):
+    # all loops, q = 2: the identity fixes all 2**n states; n = 70 also
+    # takes ranks of matrices wider than one 64-bit word
+    rep = linear_guessing(add_loops(Digraph.of(n, [])), 2, "h")
+    assert rep.max_fix == 2**n and rep.dim == n
+    assert count_fixed_linear(rep.witness) == (2**n, n)
 
 
 def test_linear_guessing_cap():
