@@ -53,7 +53,6 @@ from .linear import (
     LinearCodingFunction,
     LinearReport,
     count_fixed_linear,
-    dim_fix,
     linear_guessing,
     linear_reduce,
     prove_not_linearly_solvable,

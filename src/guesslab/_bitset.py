@@ -10,10 +10,6 @@ def bits(mask):
         mask ^= low
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 def max_clique(adj, n, universe=None):
     """Bitmask of a maximum clique of the graph given by adjacency bitmasks.
 

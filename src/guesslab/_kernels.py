@@ -39,33 +39,41 @@ def _flatten_tables(n, q, supports, tables):
 
 
 # ---------------------------------------------------------------------------
-# fixed-point mask over the full state space
+# state codes and the fixed-point mask over the full state space
 # ---------------------------------------------------------------------------
+#
+# State code c encodes x big-endian: x[0] is the most significant digit, so
+# ascending codes are lexicographically ascending tuples.  A table over a
+# support is indexed the same way by the support's digits.
+
+STATE_BLOCK = 1 << 18  # states decoded at once; their digits take n * 2 MiB
+
+
+def _digits(codes, n, q):
+    """(B, n) big-endian base-q digits of a batch of state codes."""
+    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(codes, dtype=np.int64)[:, None] // weights) % q
+
+
+def _support_rows(digs, support, q):
+    """Table row index of each decoded state, projected onto support."""
+    weights = q ** np.arange(len(support) - 1, -1, -1, dtype=np.int64)
+    return digs[:, list(support)] @ weights
+
 
 def fixed_point_mask(n, q, supports, tables):
-    """uint8 mask over state codes 0..q**n-1, 1 where f(x) == x.
-
-    State code c encodes x big-endian: x[0] is the most significant digit,
-    so ascending codes are lexicographically ascending tuples.
-    """
+    """uint8 mask over state codes 0..q**n-1, 1 where f(x) == x."""
     if n == 0:
         return np.ones(1, dtype=np.uint8)
     sup_flat, sup_off, tab_flat, tab_off = _flatten_tables(n, q, supports, tables)
     total = q**n
-    chunk = 1 << 18
     out = np.zeros(total, dtype=np.uint8)
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)  # big-endian digits
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digs = (codes[:, None] // weights[None, :]) % q
+    for start in range(0, total, STATE_BLOCK):
+        codes = np.arange(start, min(start + STATE_BLOCK, total), dtype=np.int64)
+        digs = _digits(codes, n, q)
         ok = np.ones(codes.shape[0], dtype=bool)
         for v in range(n):
-            sup = sup_flat[sup_off[v] : sup_off[v + 1]]
-            if sup.size:
-                w = q ** np.arange(sup.size - 1, -1, -1, dtype=np.int64)
-                rows = digs[:, sup] @ w
-            else:
-                rows = np.zeros(codes.shape[0], dtype=np.int64)
+            rows = _support_rows(digs, sup_flat[sup_off[v] : sup_off[v + 1]], q)
             vals = tab_flat[tab_off[v] + rows]
             ok &= vals == digs[:, v]
         out[codes[ok]] = 1

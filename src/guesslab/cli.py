@@ -205,7 +205,7 @@ def _cmd_solvable(args):
         ok = is_solvable(g, args.q)
         payload["solvable"] = ok
         payload["q"] = args.q
-        payload["k"] = g.n - acyclic_number(g, limit=max(16, g.n))
+        payload["k"] = g.n - acyclic_number(g, limit=None)
         lines.append(f"solvable over q={args.q}: {ok}")
         if not ok:
             negative = True
@@ -230,8 +230,13 @@ def _cmd_compat(args):
 def _cmd_construct(args):
     from .constructions import named
 
-    params = [int(p) for p in args.params]
+    try:
+        params = [int(p) for p in args.params]
+    except ValueError as exc:
+        raise ParseError(f"construct parameters must be integers: {args.params}") from exc
     if args.family == "gk":
+        if len(params) != 1:
+            raise PreconditionError("gk takes one parameter, k")
         g = named("gk", *params, "minimal" if args.minimal else "maximal").graph
     else:
         key = {
@@ -326,9 +331,6 @@ def main(argv=None):
     except ResourceBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (ParseError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GuesslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .digraph import Digraph, topological_order
-from .errors import NotAcyclicError, ResourceBoundError, VertexRangeError
+from .digraph import Digraph, _compact_map, _fold_reductions, topological_order
+from .errors import NotAcyclicError, PreconditionError, ResourceBoundError, VertexRangeError
 
 DEFAULT_STATE_LIMIT = 1 << 24
 
@@ -35,6 +35,36 @@ def _row_index(q, support, x):
     return r
 
 
+def _essential_positions(q, d, table):
+    """Positions p < d of the inputs a big-endian table depends on essentially."""
+    ess = []
+    for p in range(d):
+        stride = q ** (d - 1 - p)
+        block = stride * q
+        for base in range(0, len(table), block):
+            if any(
+                len({table[base + off + a * stride] for a in range(q)}) > 1
+                for off in range(stride)
+            ):
+                ess.append(p)
+                break
+    return ess
+
+
+def _tighten_local(q, inputs, table):
+    """The same local map on its essential inputs only, re-tabulated."""
+    keep = _essential_positions(q, len(inputs), table)
+    if len(keep) == len(inputs):
+        return Local(tuple(inputs), tuple(table))
+    tab = []
+    for assign in itertools.product(range(q), repeat=len(keep)):
+        full = [0] * len(inputs)
+        for slot, p in enumerate(keep):
+            full[p] = assign[slot]
+        tab.append(table[_row_index(q, range(len(inputs)), full)])
+    return Local(tuple(inputs[p] for p in keep), tuple(tab))
+
+
 @dataclass(frozen=True)
 class CodingFunction:
     n: int
@@ -44,7 +74,7 @@ class CodingFunction:
 
     def __post_init__(self):
         if self.q < 2:
-            raise ValueError("alphabet size must be at least 2")
+            raise PreconditionError("alphabet size must be at least 2")
         if len(self.supports) != self.n or len(self.tables) != self.n:
             raise ValueError("need one support and one table per vertex")
         sups = tuple(tuple(int(u) for u in s) for s in self.supports)
@@ -87,57 +117,16 @@ class CodingFunction:
 
     # -- essential supports -------------------------------------------------
 
-    def _essential_positions(self, v):
-        sup = self.supports[v]
-        tab = self.tables[v]
-        d = len(sup)
-        q = self.q
-        ess = []
-        for p in range(d):
-            stride = q ** (d - 1 - p)
-            block = stride * q
-            found = False
-            for base in range(0, len(tab), block):
-                for off in range(stride):
-                    vals = {tab[base + off + a * stride] for a in range(q)}
-                    if len(vals) > 1:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                ess.append(p)
-        return ess
-
     def essential_inputs(self, v):
         sup = self.supports[v]
-        return tuple(sup[p] for p in self._essential_positions(v))
+        return tuple(sup[p] for p in _essential_positions(self.q, len(sup), self.tables[v]))
 
     def canonicalize(self):
         """Shrink every declared support to the essential one."""
-        new_sups = []
-        new_tabs = []
-        q = self.q
-        for v in range(self.n):
-            sup = self.supports[v]
-            keep = self._essential_positions(v)
-            if len(keep) == len(sup):
-                new_sups.append(sup)
-                new_tabs.append(self.tables[v])
-                continue
-            new_sup = tuple(sup[p] for p in keep)
-            tab = []
-            for assign in itertools.product(range(q), repeat=len(new_sup)):
-                full = [0] * len(sup)
-                for slot, p in enumerate(keep):
-                    full[p] = assign[slot]
-                r = 0
-                for a in full:
-                    r = r * q + a
-                tab.append(self.tables[v][r])
-            new_sups.append(new_sup)
-            new_tabs.append(tuple(tab))
-        return CodingFunction(self.n, q, tuple(new_sups), tuple(new_tabs))
+        locs = [_tighten_local(self.q, s, t) for s, t in zip(self.supports, self.tables)]
+        return CodingFunction(
+            self.n, self.q, tuple(loc.inputs for loc in locs), tuple(loc.table for loc in locs)
+        )
 
 
 def interaction_graph(f):
@@ -149,11 +138,6 @@ def interaction_graph(f):
     return Digraph.of(f.n, arcs)
 
 
-def _compact_map(n, removed):
-    keep = [v for v in range(n) if v not in removed]
-    return {v: i for i, v in enumerate(keep)}
-
-
 def _build_local(f, inputs, value_fn):
     """Tabulate value_fn over assignments to `inputs` (original labels)."""
     q = f.q
@@ -162,13 +146,6 @@ def _build_local(f, inputs, value_fn):
         env = dict(zip(inputs, assign))
         tab.append(value_fn(env) % q)
     return tuple(tab)
-
-
-def _eval_local(q, inputs, table, env):
-    r = 0
-    for s in inputs:
-        r = r * q + env[s]
-    return table[r]
 
 
 def reduce_vertex(f, v):
@@ -199,8 +176,8 @@ def reduce_vertex(f, v):
         def value(env, si=si, i=i):
             if v in si:
                 env = dict(env)
-                env[v] = _eval_local(f.q, fv_sup, fv_tab, env)
-            return _eval_local(f.q, si, f.tables[i], env)
+                env[v] = fv_tab[_row_index(f.q, fv_sup, env)]
+            return f.tables[i][_row_index(f.q, si, env)]
 
         tab = _build_local(f, raw, value)
         new_sups.append(tuple(m[u] for u in raw))
@@ -211,14 +188,7 @@ def reduce_vertex(f, v):
 
 def reduce_sequence(f, seq):
     """Fold reduce_vertex over original labels."""
-    cur = f
-    total = {v: v for v in range(f.n)}
-    for v in seq:
-        if v not in total:
-            raise VertexRangeError(f"vertex {v} no longer present")
-        cur, step = reduce_vertex(cur, total[v])
-        total = {orig: step[lab] for orig, lab in total.items() if lab in step}
-    return cur, total
+    return _fold_reductions(f, seq, reduce_vertex)
 
 
 @dataclass(frozen=True)
@@ -256,43 +226,11 @@ def cumulative(f, vertices):
             env = dict(env)
             for u in si:
                 if u in cum:
-                    env[u] = _eval_local(f.q, cum[u].inputs, cum[u].table, env)
-            return _eval_local(f.q, si, f.tables[i], env)
+                    env[u] = cum[u].table[_row_index(f.q, cum[u].inputs, env)]
+            return f.tables[i][_row_index(f.q, si, env)]
 
-        tab = _build_local(f, raw, value)
-        cum[i] = _tighten_local(f.q, tuple(raw), tab)
+        cum[i] = _tighten_local(f.q, raw, _build_local(f, raw, value))
     return cum
-
-
-def _tighten_local(q, inputs, table):
-    d = len(inputs)
-    ess = []
-    for p in range(d):
-        stride = q ** (d - 1 - p)
-        block = stride * q
-        keep = False
-        for base in range(0, len(table), block):
-            for off in range(stride):
-                if len({table[base + off + a * stride] for a in range(q)}) > 1:
-                    keep = True
-                    break
-            if keep:
-                break
-        if keep:
-            ess.append(p)
-    if len(ess) == d:
-        return Local(inputs, tuple(table))
-    new_inputs = tuple(inputs[p] for p in ess)
-    tab = []
-    for assign in itertools.product(range(q), repeat=len(new_inputs)):
-        full = [0] * d
-        for slot, p in enumerate(ess):
-            full[p] = assign[slot]
-        r = 0
-        for a in full:
-            r = r * q + a
-        tab.append(table[r])
-    return Local(new_inputs, tuple(tab))
 
 
 def reduce_set(f, vertices):
@@ -319,8 +257,8 @@ def reduce_set(f, vertices):
             env = dict(env)
             for u in si:
                 if u in sub:
-                    env[u] = _eval_local(f.q, cum[u].inputs, cum[u].table, env)
-            return _eval_local(f.q, si, f.tables[i], env)
+                    env[u] = cum[u].table[_row_index(f.q, cum[u].inputs, env)]
+            return f.tables[i][_row_index(f.q, si, env)]
 
         tab = _build_local(f, raw, value)
         new_sups.append(tuple(m[u] for u in raw))
@@ -337,13 +275,8 @@ def fixed_points(f, limit=None):
     if f.n == 0:
         return ((),)
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
-    codes = np.nonzero(mask)[0]
-    out = []
-    weights = [f.q ** (f.n - 1 - v) for v in range(f.n)]
-    for c in codes:
-        c = int(c)
-        out.append(tuple((c // w) % f.q for w in weights))
-    return tuple(out)
+    digs = _kernels._digits(np.nonzero(mask)[0], f.n, f.q)
+    return tuple(map(tuple, digs.tolist()))
 
 
 def count_fixed_points(f, limit=None):
@@ -359,7 +292,7 @@ def count_fixed_points(f, limit=None):
 def min_net(g, q):
     """f_i(x) = min of the in-neighbour values, with min(empty) = q - 1."""
     if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise PreconditionError("alphabet size must be at least 2")
     sups = []
     tabs = []
     for v in range(g.n):

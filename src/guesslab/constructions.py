@@ -7,11 +7,13 @@ next to the oracles.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .coding import CodingFunction
 from .digraph import (
     Digraph,
@@ -22,7 +24,7 @@ from .digraph import (
 )
 from .errors import PreconditionError, ResourceBoundError, SearchFailedError
 from .linear import LinearCodingFunction, is_prime
-from .params import acyclic_number
+from .params import _find_short_cycle, acyclic_number
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def gk_family(k, variant="maximal"):
 
 
 _FAMILIES = {
-    "K": lambda *p: _complete(*p) if len(p) == 1 else _biclique(*p),
+    "K": lambda n, m=None: _complete(n) if m is None else _biclique(n, m),
     "E": lambda n: Digraph.of(n, []),
     "T": _tournament,
     "iS": _in_star,
@@ -189,6 +191,10 @@ def named(name, *params):
     two sizes for bicliques, gk with k (and variant), plus the fixed graphs."""
     if name not in _FAMILIES:
         raise PreconditionError(f"unknown graph family {name!r}")
+    try:
+        inspect.signature(_FAMILIES[name]).bind(*params)
+    except TypeError:
+        raise PreconditionError(f"wrong number of parameters for {name!r}: {len(params)}") from None
     graph = _FAMILIES[name](*params)
     return NamedGraph(name, tuple(params), graph)
 
@@ -207,42 +213,10 @@ def clique_solution(n, q):
     return LinearCodingFunction(n, q, rows)
 
 
-def _shortest_cycle(g):
-    best = None
-    for s in range(g.n):
-        if g.has_loop(s):
-            return (s,)
-        parent = {s: None}
-        frontier = [s]
-        cyc = None
-        while frontier and cyc is None:
-            nxt = []
-            for u in frontier:
-                for w in g.out_neighbors(u):
-                    if w == s:
-                        path = [u]
-                        while path[-1] != s:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        cyc = tuple(path)
-                        break
-                    if w not in parent:
-                        parent[w] = u
-                        nxt.append(w)
-                if cyc is not None:
-                    break
-            frontier = nxt
-        if cyc is not None and (best is None or len(cyc) < len(best)):
-            best = cyc
-        if best is not None and len(best) <= 2:
-            break
-    return best
-
-
 def unit_witness(g, q):
     """A coding function with interaction graph exactly g and at least q
     fixed points: follow a chordless cycle, take min everywhere else."""
-    cycle = _shortest_cycle(g)
+    cycle = _find_short_cycle(g.out_masks(), (1 << g.n) - 1)
     if cycle is None:
         raise PreconditionError("the graph has no cycle")
     on_cycle = {v: cycle[i - 1] for i, v in enumerate(cycle)}
@@ -286,7 +260,7 @@ def sls_construction(g, designated):
             raise PreconditionError("an empty set is only valid for an arcless graph")
         return LinearCodingFunction(g.n, 2, tuple(tuple(0 for _ in range(g.n)) for _ in range(g.n)))
     topological_order(g, sub)
-    if len(sub) != acyclic_number(g, limit=max(16, g.n)):
+    if len(sub) != acyclic_number(g, limit=None):
         raise PreconditionError("the set is not a maximum acyclic set")
     if not is_compatible(g, sub, "strong"):
         raise PreconditionError("the set is not strongly compatible")
@@ -351,32 +325,9 @@ def embed_in_sls(d):
     return Embedding(Digraph.of(nxt, arcs), tuple(added), True)
 
 
-def _det_mod(mat, q):
-    m = [row[:] for row in mat]
-    k = len(m)
-    det = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c] % q), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = (det * m[c][c]) % q
-        inv = pow(m[c][c], -1, q)
-        for r in range(c + 1, k):
-            f = (m[r][c] * inv) % q
-            if f:
-                for j in range(c, k):
-                    m[r][j] = (m[r][j] - f * m[c][j]) % q
-    return det % q
-
-
 def _inverse_mod(mat, q):
+    """Inverse mod a prime q of an invertible matrix, by Gauss-Jordan."""
     k = len(mat)
-    det = _det_mod(mat, q)
-    if det == 0:
-        return None
     aug = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(mat)]
     for c in range(k):
         piv = next(r for r in range(c, k) if aug[r][c] % q)
@@ -390,7 +341,10 @@ def _inverse_mod(mat, q):
     return [row[k:] for row in aug]
 
 
-def kkk_solution(k, chunk=1 << 14):
+KKK_BATCH = 1 << 14
+
+
+def kkk_solution(k):
     """Strict linear solution of K_{k,k} over the smallest prime >= 3k^2.
 
     Lexicographic scan over zero-free matrices; the first invertible one
@@ -406,15 +360,9 @@ def kkk_solution(k, chunk=1 << 14):
     base = q - 1
     total = base ** (k * k)
     found = None
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((codes.shape[0], k * k), dtype=np.int64)
-        c = codes.copy()
-        for pos in range(k * k - 1, -1, -1):
-            digits[:, pos] = c % base + 1
-            c //= base
-        mats = digits.reshape(-1, k, k)
+    for start in range(0, total, KKK_BATCH):
+        codes = np.arange(start, min(start + KKK_BATCH, total), dtype=np.int64)
+        mats = (_kernels._digits(codes, k * k, base) + 1).reshape(-1, k, k)
         good = _batch_zero_free_invertible(mats, q, k)
         if good.size:
             idx = int(good[0])
@@ -433,38 +381,16 @@ def kkk_solution(k, chunk=1 << 14):
     return LinearCodingFunction(n, q, tuple(tuple(r) for r in rows))
 
 
-def _batch_dets(mats, q, k):
-    m = mats % q
-    if k == 1:
-        return m[:, 0, 0] % q
-    if k == 2:
-        return (m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % q
-    if k == 3:
-        a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
-        d, e, f = m[:, 1, 0], m[:, 1, 1], m[:, 1, 2]
-        g_, h, i = m[:, 2, 0], m[:, 2, 1], m[:, 2, 2]
-        return (a * (e * i - f * h) - b * (d * i - f * g_) + c * (d * h - e * g_)) % q
-    # k == 4: expand along the first row
-    total = np.zeros(m.shape[0], dtype=np.int64)
-    for c in range(4):
-        cols = [x for x in range(4) if x != c]
-        minor = m[:, 1:, :][:, :, cols]
-        term = m[:, 0, c] * _batch_dets(minor, q, 3)
-        total = (total + ((-1) ** c) * term) % q
-    return total % q
-
-
 def _batch_zero_free_invertible(mats, q, k):
-    """Indices of matrices with nonzero determinant and all cofactors
-    nonzero (zero-free inverse); entries are already zero-free."""
-    ok = _batch_dets(mats, q, k) != 0
-    if k > 1:
-        for i in range(k):
-            for j in range(k):
-                rows = [x for x in range(k) if x != i]
-                cols = [x for x in range(k) if x != j]
-                minor = mats[:, rows, :][:, :, cols]
-                ok &= _batch_dets(minor, q, k - 1) != 0
+    """Indices of the invertible matrices mod the prime q whose inverse is
+    zero-free: full rank, and every (k-1)-minor of full rank, so every
+    cofactor is nonzero.  Entries are already zero-free."""
+    ok = _kernels.modular_ranks(mats, q) == k
+    for i in range(k):
+        for j in range(k):
+            rows = [x for x in range(k) if x != i]
+            cols = [x for x in range(k) if x != j]
+            ok &= _kernels.modular_ranks(mats[:, rows, :][:, :, cols], q) == k - 1
     return np.nonzero(ok)[0]
 
 
@@ -499,7 +425,7 @@ def reduction_target_fn(d, h, q):
     if h.n != d.n:
         raise PreconditionError("d and h must share the vertex set")
     if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise PreconditionError("alphabet size must be at least 2")
     n0 = d.n
     i_d = sorted(d.arcs - h.arcs)
     i_h = sorted(h.arcs - d.arcs)
@@ -561,7 +487,7 @@ def vanish_reduction_fn(g, v, h, q):
     if not h.arcs <= frozenset(induced):
         raise PreconditionError("h must be a spanning subgraph of g minus v")
     if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise PreconditionError("alphabet size must be at least 2")
 
     def y(val):
         return min(val, 1)

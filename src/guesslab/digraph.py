@@ -21,7 +21,7 @@ class Digraph:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise PreconditionError("vertex count must be non-negative")
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
         object.__setattr__(self, "arcs", arcs)
         for u, v in arcs:
@@ -154,16 +154,21 @@ def reduce_vertex(g, v):
     return Digraph.of(g.n - 1, arcs), m
 
 
-def reduce_sequence(g, seq):
-    """Fold reduce_vertex over a sequence of original vertex labels."""
-    cur = g
-    total = {v: v for v in range(g.n)}
+def _fold_reductions(obj, seq, reduce_step):
+    """Fold reduce_step(obj, v) -> (obj, old-to-new map) over original labels."""
+    cur = obj
+    total = {v: v for v in range(obj.n)}
     for v in seq:
         if v not in total:
             raise VertexRangeError(f"vertex {v} no longer present")
-        cur, step = reduce_vertex(cur, total[v])
+        cur, step = reduce_step(cur, total[v])
         total = {orig: step[lab] for orig, lab in total.items() if lab in step}
     return cur, total
+
+
+def reduce_sequence(g, seq):
+    """Fold reduce_vertex over a sequence of original vertex labels."""
+    return _fold_reductions(g, seq, reduce_vertex)
 
 
 def reduce_set(g, vertices):

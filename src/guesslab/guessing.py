@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from ._bitset import bits, max_independent_set
-from .coding import CodingFunction
+from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
 from .errors import PreconditionError, ResourceBoundError
-from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
+from .params import IDS_LIMIT, acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
 
@@ -42,11 +43,10 @@ class GuessingReport:
         return math.log(self.max_fix, self.q) if self.max_fix > 0 else float("-inf")
 
 
-def _state_digits(n, q):
-    total = q**n
-    weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = np.arange(total, dtype=np.int64)
-    return (codes[:, None] // weights[None, :]) % q
+def _bitsets(rows):
+    """Each row of a 2-D bool array as a Python int with bit i = row[i]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _conflict_adjacency(g, q):
@@ -56,44 +56,27 @@ def _conflict_adjacency(g, q):
     different own value; independent sets are exactly the consistent
     fixed-point sets.
     """
-    n = g.n
-    total = q**n
-    digs = _state_digits(n, q)
+    total = q**g.n
+    digs = _kernels._digits(np.arange(total), g.n, q)
     conflict = np.zeros((total, total), dtype=bool)
-    for v in range(n):
-        sup = list(g.in_neighbors(v))
-        if sup:
-            w = q ** np.arange(len(sup) - 1, -1, -1, dtype=np.int64)
-            proj = digs[:, sup] @ w
-        else:
-            proj = np.zeros(total, dtype=np.int64)
+    for v in range(g.n):
+        proj = _kernels._support_rows(digs, g.in_neighbors(v), q)
         same_proj = proj[:, None] == proj[None, :]
         diff_val = digs[:, v][:, None] != digs[:, v][None, :]
         conflict |= same_proj & diff_val
-    adj = []
-    for i in range(total):
-        row = np.packbits(conflict[i], bitorder="little").tobytes()
-        adj.append(int.from_bytes(row, "little"))
-    return adj
+    return _bitsets(conflict)
 
 
 def _witness_from_states(g, q, chosen_codes):
-    n = g.n
-    weights = [q ** (n - 1 - v) for v in range(n)]
-    states = [tuple((c // w) % q for w in weights) for c in chosen_codes]
-    sups = []
+    """Tables on the in-neighbourhoods that fix the chosen consistent states."""
+    digs = _kernels._digits(chosen_codes, g.n, q)
+    sups = tuple(g.in_neighbors(v) for v in range(g.n))
     tabs = []
-    for v in range(n):
-        sup = g.in_neighbors(v)
-        table = [0] * (q ** len(sup))
-        for x in states:
-            r = 0
-            for s in sup:
-                r = r * q + x[s]
-            table[r] = x[v]
-        sups.append(sup)
-        tabs.append(tuple(table))
-    return CodingFunction(n, q, tuple(sups), tuple(tabs))
+    for v, sup in enumerate(sups):
+        table = np.zeros(q ** len(sup), dtype=np.int64)
+        table[_kernels._support_rows(digs, sup, q)] = digs[:, v]
+        tabs.append(tuple(table.tolist()))
+    return CodingFunction(g.n, q, sups, tuple(tabs))
 
 
 def guessing_number(g, q, state_cap=STATE_CAP):
@@ -103,7 +86,7 @@ def guessing_number(g, q, state_cap=STATE_CAP):
     q**n states; the witness extends the chosen partial tables by zero.
     """
     if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise PreconditionError("alphabet size must be at least 2")
     if q**g.n > state_cap:
         raise ResourceBoundError(f"conflict graph needs {q}**{g.n} <= {state_cap} states")
     if g.n == 0:
@@ -126,44 +109,32 @@ def _essential_local_tables(q, d, cap):
         raise ResourceBoundError(
             f"enumerating {q}**({q}**{d}) local tables exceeds the cap {cap}"
         )
-    rows = q**d
-    out = []
-    for flat in itertools.product(range(q), repeat=rows):
-        ok = True
-        for p in range(d):
-            stride = q ** (d - 1 - p)
-            block = stride * q
-            seen_change = False
-            for base in range(0, rows, block):
-                for off in range(stride):
-                    vals = {flat[base + off + a * stride] for a in range(q)}
-                    if len(vals) > 1:
-                        seen_change = True
-                        break
-                if seen_change:
-                    break
-            if not seen_change:
-                ok = False
-                break
-        if ok:
-            out.append(flat)
-    return out
+    return [
+        flat
+        for flat in itertools.product(range(q), repeat=q**d)
+        if len(_essential_positions(q, d, flat)) == d
+    ]
 
 
-def _fix_mask_int(g, q, v, table):
-    """Bitmask over state codes where table would fix vertex v."""
-    n = g.n
+MASK_BLOCK = 1 << 22  # booleans compared at once, tables x states
+
+
+def _fix_masks(g, q, v, tables):
+    """One bitmask per table: the state codes where that table at v fixes v."""
+    total = q**g.n
     sup = g.in_neighbors(v)
-    mask = 0
-    weights = [q ** (n - 1 - u) for u in range(n)]
-    for code in range(q**n):
-        x = [(code // w) % q for w in weights]
-        r = 0
-        for s in sup:
-            r = r * q + x[s]
-        if table[r] == x[v]:
-            mask |= 1 << code
-    return mask
+    tabs = np.asarray(tables, dtype=np.int64).reshape(len(tables), q ** len(sup))
+    width = min(total, _kernels.STATE_BLOCK)
+    step = MASK_BLOCK // width
+    masks = [0] * len(tabs)
+    for lo in range(0, total, width):
+        digs = _kernels._digits(np.arange(lo, min(lo + width, total)), g.n, q)
+        rows = _kernels._support_rows(digs, sup, q)
+        for t in range(0, len(tabs), step):
+            fixed = tabs[t : t + step, rows] == digs[:, v]
+            for i, bitset in enumerate(_bitsets(fixed), t):
+                masks[i] |= bitset << lo
+    return masks
 
 
 def strict_guessing_number(g, q, table_cap=1 << 20, combo_cap=1 << 22, cross_check=None):
@@ -174,7 +145,7 @@ def strict_guessing_number(g, q, table_cap=1 << 20, combo_cap=1 << 22, cross_che
     of per-vertex essential tables, with deduplicated fixed-state masks.
     """
     if q < 2:
-        raise ValueError("alphabet size must be at least 2")
+        raise PreconditionError("alphabet size must be at least 2")
     loop_full = g.n > 0 and all(g.has_loop(v) for v in range(g.n))
     if loop_full:
         core = strip_loops(g)
@@ -209,10 +180,8 @@ def _strict_exhaustive(g, q, table_cap, combo_cap):
         d = g.in_degree(v)
         tables = _essential_local_tables(q, d, table_cap)
         masks = {}
-        for t in tables:
-            m = _fix_mask_int(g, q, v, t)
-            if m not in masks:
-                masks[m] = t
+        for t, m in zip(tables, _fix_masks(g, q, v, tables)):
+            masks.setdefault(m, t)
         per_vertex.append(masks)
     # distinct partial masks can never outnumber the subsets of the state
     # space, so bound the stage-by-stage work, not the raw product
@@ -244,21 +213,20 @@ def _strict_exhaustive(g, q, table_cap, combo_cap):
 # loop-full closed form
 # ---------------------------------------------------------------------------
 
-def _ids_fixed_count(g_loopless, q):
-    counts = in_dominating_counts(g_loopless)
+def _ids_fixed_count(g_loopless, q, limit=IDS_LIMIT):
+    counts = in_dominating_counts(g_loopless, limit)
     return sum((q - 1) ** k * counts[k] for k in range(len(counts)))
 
 
 def h_loops(g_loopless, q, limit=20):
     """Strict guessing count of the loop-full closure of a loopless graph,
     via sum_k (q-1)^k I_k."""
+    if q < 2:
+        raise PreconditionError("alphabet size must be at least 2")
     if not g_loopless.is_loopless():
         raise PreconditionError("h_loops expects the loopless core")
-    counts = in_dominating_counts(g_loopless, limit)
-    total = sum((q - 1) ** k * counts[k] for k in range(len(counts)))
-    return GuessingReport(
-        add_loops(g_loopless), q, "h-loops-formula", total, None, "ids-sum"
-    )
+    count = _ids_fixed_count(g_loopless, q, limit)
+    return GuessingReport(add_loops(g_loopless), q, "h-loops-formula", count, None, "ids-sum")
 
 
 def loopfull_witness(g_loopless, q, limit=20):
@@ -295,16 +263,13 @@ def loopfull_witness(g_loopless, q, limit=20):
 def is_solvable(g, q, state_cap=STATE_CAP):
     """g(G, q) reaches the feedback bound q**k(G)."""
     report = guessing_number(g, q, state_cap)
-    return report.max_fix == q ** (g.n - acyclic_number(g, limit=max(16, g.n)))
+    return report.max_fix == q ** (g.n - acyclic_number(g, limit=None))
 
 
 def is_routing_solvable(g, cycle_limit=None):
     """c(G) == k(G)."""
-    from .params import CYCLE_LIMIT
-
-    limit = cycle_limit if cycle_limit is not None else max(CYCLE_LIMIT, g.n)
-    c, _ = max_disjoint_cycles(g, limit)
-    return c == g.n - acyclic_number(g, limit=max(16, g.n))
+    c, _ = max_disjoint_cycles(g, cycle_limit)
+    return c == g.n - acyclic_number(g, limit=None)
 
 
 def routing_witness(g, q, cycle_limit=None):
@@ -313,10 +278,7 @@ def routing_witness(g, q, cycle_limit=None):
     Cycle vertices copy their predecessor, everything else is constant 0;
     the fixed points are the states constant on each cycle and 0 elsewhere.
     """
-    from .params import CYCLE_LIMIT
-
-    limit = cycle_limit if cycle_limit is not None else max(CYCLE_LIMIT, g.n)
-    _, cycles = max_disjoint_cycles(g, limit)
+    _, cycles = max_disjoint_cycles(g, cycle_limit)
     pred = {}
     for cyc in cycles:
         for i, v in enumerate(cyc):

@@ -2,8 +2,7 @@
 
 Strict-mode coefficient matrices carry units of Z_q on every arc of the
 target graph and zeros elsewhere; subgraph freedom in g_L mode is
-expressed by allowing zero.  Relaxed mode (arbitrary nonzero entries)
-exists for exploration only.
+expressed by allowing zero.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ NOT_STRICTLY_LINEARLY_SOLVABLE = "not-strictly-linearly-solvable"
 INCONCLUSIVE = "inconclusive"
 
 SEARCH_CAP = 1 << 26
+SEARCH_BATCH = 1 << 15
 PROVER_ARC_CAP = 22
 
 
@@ -54,7 +54,7 @@ class LinearCodingFunction:
 
     def __post_init__(self):
         if self.q < 2:
-            raise ValueError("modulus must be at least 2")
+            raise PreconditionError("modulus must be at least 2")
         rows = tuple(tuple(int(a) % self.q for a in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if len(rows) != self.n or any(len(r) != self.n for r in rows):
@@ -128,10 +128,6 @@ def count_fixed_linear(f, limit=None):
     return count, None
 
 
-def dim_fix(f, limit=None):
-    return count_fixed_linear(f, limit)
-
-
 def _scatter_matrices(codes, arcs, allowed, n, q):
     """Matrices (A - I) mod q for a batch of mixed-radix coefficient codes."""
     base = len(allowed)
@@ -148,18 +144,19 @@ def _scatter_matrices(codes, arcs, allowed, n, q):
     return mats
 
 
-def linear_guessing(g, q, mode="g", relaxed=False, search_cap=SEARCH_CAP, chunk=1 << 15):
+def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
     """Exact max fixed-point count over coefficient matrices on g.
 
     mode "g": each arc carries 0 or a unit (interaction graph inside g);
     mode "h": units only (interaction graph exactly g).  The witness is
     the lexicographically first maximiser over the sorted arc list.
     """
+    if q < 2:
+        raise PreconditionError("alphabet size must be at least 2")
     if mode not in ("g", "h"):
         raise ValueError(f"unknown mode {mode!r}")
     arcs = g.arcs_sorted()
-    pool = tuple(range(1, q)) if relaxed else units(q)
-    allowed = ((0,) + pool) if mode == "g" else pool
+    allowed = ((0,) + units(q)) if mode == "g" else units(q)
     base = len(allowed)
     total = base ** len(arcs)
     if total > search_cap:
@@ -171,8 +168,8 @@ def linear_guessing(g, q, mode="g", relaxed=False, search_cap=SEARCH_CAP, chunk=
     # minimum rank and form the count as a Python int
     best_rank = g.n + 1
     best_code = 0
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, SEARCH_BATCH):
+        codes = np.arange(start, min(start + SEARCH_BATCH, total), dtype=np.int64)
         mats = _scatter_matrices(codes, arcs, allowed, g.n, q)
         ranks = _kernels.modular_ranks(mats, q)
         idx = int(np.argmin(ranks))
@@ -252,7 +249,7 @@ def weak_compat_certificate(g, limit=12):
     """
     if g.n > limit:
         raise ResourceBoundError(f"certificate search capped at n <= {limit}")
-    alpha = acyclic_number(g, limit=max(16, g.n))
+    alpha = acyclic_number(g, limit=None)
     if alpha == 0:
         return Certificate(INCONCLUSIVE)
     for s in all_max_acyclic_sets(g, limit=g.n, alpha=alpha):
@@ -282,7 +279,7 @@ def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
     arcs = g.arcs_sorted()
     if len(arcs) > arc_cap:
         raise ResourceBoundError(f"spanning-subgraph search capped at {arc_cap} arcs")
-    alpha = acyclic_number(g, limit=max(16, g.n))
+    alpha = acyclic_number(g, limit=None)
     bigger = list(itertools.combinations(range(g.n), alpha + 1)) if alpha < g.n else []
     arcs_within = []
     for combo in bigger:

@@ -39,7 +39,7 @@ def _check(n, limit, what):
         raise ResourceBoundError(f"{what} capped at n <= {limit}, got n = {n}")
 
 
-def _find_short_cycle(in_masks, out_masks, mask):
+def _find_short_cycle(out_masks, mask):
     """A shortest directed cycle inside mask, as a vertex tuple, or None."""
     best = None
     for s in bits(mask):
@@ -91,7 +91,6 @@ def max_acyclic_set(g, limit=ALPHA_LIMIT):
         sol = max_independent_set(adj, g.n, universe)
         return frozenset(bits(sol))
 
-    in_masks = g.in_masks()
     out_masks = g.out_masks()
     best = 0
     seen = set()
@@ -99,7 +98,7 @@ def max_acyclic_set(g, limit=ALPHA_LIMIT):
     def greedy_packing(mask):
         cnt = 0
         while True:
-            cyc = _find_short_cycle(in_masks, out_masks, mask)
+            cyc = _find_short_cycle(out_masks, mask)
             if cyc is None:
                 return cnt
             for v in cyc:
@@ -111,7 +110,7 @@ def max_acyclic_set(g, limit=ALPHA_LIMIT):
         if mask.bit_count() <= best.bit_count() or mask in seen:
             return
         seen.add(mask)
-        cyc = _find_short_cycle(in_masks, out_masks, mask)
+        cyc = _find_short_cycle(out_masks, mask)
         if cyc is None:
             best = mask
             return
@@ -142,7 +141,7 @@ def all_max_acyclic_sets(g, limit=CYCLE_LIMIT, alpha=None):
     complements."""
     _check(g.n, limit, "max acyclic set enumeration")
     if alpha is None:
-        alpha = acyclic_number(g, limit=max(limit or 0, g.n))
+        alpha = acyclic_number(g, limit=None)
     out = []
     for combo in itertools.combinations(range(g.n), alpha):
         if g.is_acyclic_within(combo):
@@ -194,7 +193,7 @@ def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
     def rec(mask):
         if mask in memo:
             return memo[mask]
-        short = _find_short_cycle(in_masks, out_masks, mask)
+        short = _find_short_cycle(out_masks, mask)
         if short is None:
             memo[mask] = (0, ())
             return memo[mask]
@@ -325,7 +324,7 @@ def is_edge_full(g, limit=PARTITION_LIMIT):
     _check(g.n, limit, "edge cover by cliques")
     if not g.is_undirected() or not g.is_loopless():
         return False
-    alpha = acyclic_number(g, limit=max(ALPHA_LIMIT, g.n))
+    alpha = acyclic_number(g, limit=None)
     edges = g.symmetric_edges()
     if not edges:
         return True

@@ -172,3 +172,23 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "digraph" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "clique", "x"],
+        ["construct", "K"],
+        ["construct", "gk"],
+        ["construct", "clique", "-1"],
+        ["guess", "FILE", "-q", "1"],
+        ["linear", "FILE", "-q", "1"],
+        ["hloops", "FILE", "-q", "1"],
+    ],
+)
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
+    path = tmp_path / "c3.dot"
+    path.write_text(emit_dot(undirected_cycle(3)))
+    code, out, err = run_cli(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

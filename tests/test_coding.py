@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab.coding import (
     CodingFunction,
@@ -224,3 +226,40 @@ def test_mindim_min_net_equals_feedback_number():
         n = rng.randint(1, 8)
         g = random_digraph(rng, n, p=0.3, loops=True)
         assert mindim(min_net(g, 2)) == feedback_number(g)
+
+
+@st.composite
+def coding_functions(draw):
+    """Tables that ignore a drawn part of their declared support."""
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(2, 3))
+    sups, tabs = [], []
+    for _ in range(n):
+        sup = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))))
+        used = [p for p in range(len(sup)) if draw(st.booleans())]
+        inner = draw(st.lists(st.integers(0, q - 1), min_size=q ** len(used), max_size=q ** len(used)))
+        tab = []
+        for assign in itertools.product(range(q), repeat=len(sup)):
+            r = 0
+            for p in used:
+                r = r * q + assign[p]
+            tab.append(inner[r])
+        sups.append(sup)
+        tabs.append(tuple(tab))
+    return CodingFunction(n, q, tuple(sups), tuple(tabs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_canonicalize_keeps_values_and_only_essential_inputs(f):
+    canon = f.canonicalize()
+    states = list(itertools.product(range(f.q), repeat=f.n))
+    for x in states:
+        assert canon.evaluate(x) == f.evaluate(x)
+    for v in range(f.n):
+        for u in canon.supports[v]:
+            assert any(
+                f.local_value(v, x) != f.local_value(v, x[:u] + (a,) + x[u + 1 :])
+                for x in states
+                for a in range(f.q)
+            ), (v, u)

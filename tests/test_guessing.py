@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from guesslab.coding import count_fixed_points, interaction_graph, min_net
+from guesslab import _kernels, guessing
+from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
 from guesslab.guessing import (
@@ -16,7 +17,7 @@ from guesslab.guessing import (
     routing_witness,
     strict_guessing_number,
 )
-from guesslab.constructions import unit_witness
+from guesslab.constructions import named, unit_witness
 from guesslab.params import feedback_number
 
 from conftest import complete_graph, random_digraph, undirected_cycle
@@ -223,3 +224,40 @@ def test_aracena_and_robert_bounds():
         assert count_fixed_points(f) <= q ** feedback_number(g)
         if g.is_acyclic():
             assert count_fixed_points(f) == 1
+
+
+@pytest.mark.parametrize(
+    "q, d, count", [(2, 0, 2), (2, 1, 2), (2, 2, 10), (2, 3, 218), (3, 1, 24), (3, 2, 19632)]
+)
+def test_essential_local_table_counts(q, d, count):
+    # inclusion-exclusion over the set of inputs a table may ignore
+    oracle = sum((-1) ** j * math.comb(d, j) * q ** (q ** (d - j)) for j in range(d + 1))
+    tables = guessing._essential_local_tables(q, d, 1 << 20)
+    assert len(tables) == oracle == count
+    assert len(set(tables)) == count
+
+
+@pytest.mark.parametrize("name", ["S4", "C6u", "C5u+loops"])
+@pytest.mark.parametrize("blocks", [None, (8, 16)])
+def test_strict_fix_masks_against_evaluate(name, blocks, monkeypatch):
+    g = {
+        "S4": named("S", 4).graph,
+        "C6u": undirected_cycle(6),
+        "C5u+loops": add_loops(undirected_cycle(5)),
+    }[name]
+    if blocks is not None:
+        # blocks over both states and tables
+        monkeypatch.setattr(_kernels, "STATE_BLOCK", blocks[0])
+        monkeypatch.setattr(guessing, "MASK_BLOCK", blocks[1])
+    q = 2
+    sups = tuple(g.in_neighbors(v) for v in range(g.n))
+    states = list(itertools.product(range(q), repeat=g.n))  # in state-code order
+    for v in range(g.n):
+        tables = guessing._essential_local_tables(q, len(sups[v]), 1 << 20)
+        masks = guessing._fix_masks(g, q, v, tables)
+        assert len(masks) == len(tables)
+        for table, mask in zip(tables, masks):
+            tabs = tuple(table if u == v else (0,) * q ** len(sups[u]) for u in range(g.n))
+            f = CodingFunction(g.n, q, sups, tabs)
+            direct = sum(1 << c for c, x in enumerate(states) if f.evaluate(x)[v] == x[v])
+            assert mask == direct
