@@ -9,7 +9,6 @@ sum a_k * q**(d-1-k), matching itertools.product enumeration.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,7 @@ DEFAULT_STATE_LIMIT = 1 << 24
 
 
 def state_limit(explicit=None):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("GUESSLAB_MAX_STATES")
-    return int(env) if env else DEFAULT_STATE_LIMIT
+    return DEFAULT_STATE_LIMIT if explicit is None else explicit
 
 
 def _row_index(q, support, x):

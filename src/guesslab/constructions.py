@@ -61,6 +61,8 @@ def _cycle(n):
 
 
 def _biclique(a, b):
+    if a < 0 or b < 0:
+        raise PreconditionError("biclique part sizes must be non-negative")
     arcs = set()
     for u in range(a):
         for v in range(a, a + b):

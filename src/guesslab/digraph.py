@@ -6,9 +6,9 @@ compacting them in their original order and report the old-to-new map.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
+from ._bitset import bits
 from .errors import NotAcyclicError, PreconditionError, VertexRangeError
 
 
@@ -24,9 +24,16 @@ class Digraph:
             raise PreconditionError("vertex count must be non-negative")
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
         object.__setattr__(self, "arcs", arcs)
+        ins = [0] * self.n
+        outs = [0] * self.n
         for u, v in arcs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise VertexRangeError(f"arc ({u}, {v}) outside 0..{self.n - 1}")
+            ins[v] |= 1 << u
+            outs[u] |= 1 << v
+        # per-vertex in/out neighbourhoods as bitmasks, the one adjacency
+        object.__setattr__(self, "_in", tuple(ins))
+        object.__setattr__(self, "_out", tuple(outs))
 
     @classmethod
     def of(cls, n, arcs=()):
@@ -45,25 +52,29 @@ class Digraph:
         return (v, v) in self.arcs
 
     def loops(self):
-        return frozenset(v for v, w in self.arcs if v == w)
+        return frozenset(v for v in range(self.n) if self._in[v] >> v & 1)
 
     def in_neighbors(self, v):
-        return tuple(sorted(u for u, w in self.arcs if w == v))
+        self.check_vertex(v)
+        return tuple(bits(self._in[v]))
 
     def out_neighbors(self, v):
-        return tuple(sorted(w for u, w in self.arcs if u == v))
+        self.check_vertex(v)
+        return tuple(bits(self._out[v]))
 
     def in_degree(self, v):
-        return sum(1 for u, w in self.arcs if w == v)
+        self.check_vertex(v)
+        return self._in[v].bit_count()
 
     def out_degree(self, v):
-        return sum(1 for u, w in self.arcs if u == v)
+        self.check_vertex(v)
+        return self._out[v].bit_count()
 
     def arcs_sorted(self):
         return tuple(sorted(self.arcs))
 
     def is_undirected(self):
-        return all((v, u) in self.arcs for u, v in self.arcs)
+        return self._in == self._out
 
     def is_loopless(self):
         return not self.loops()
@@ -71,38 +82,48 @@ class Digraph:
     def symmetric_edges(self):
         """Unordered pairs u < v carried by arcs in both directions."""
         return tuple(
-            sorted((u, v) for u, v in self.arcs if u < v and (v, u) in self.arcs)
+            (u, v) for u in range(self.n) for v in bits(self._in[u] & self._out[u]) if u < v
         )
 
     def isolated_vertices(self):
-        touched = set()
-        for u, v in self.arcs:
-            touched.add(u)
-            touched.add(v)
-        return tuple(v for v in range(self.n) if v not in touched)
+        return tuple(v for v in range(self.n) if not self._in[v] | self._out[v])
 
     def in_masks(self):
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
-        return masks
+        return list(self._in)
 
     def out_masks(self):
-        masks = [0] * self.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return masks
+        return list(self._out)
+
+    def _mask(self, vertices):
+        mask = 0
+        for v in vertices:
+            self.check_vertex(v)
+            mask |= 1 << v
+        return mask
 
     def is_acyclic_within(self, vertices):
-        sub = frozenset(vertices)
-        try:
-            topological_order(self, sub)
-        except NotAcyclicError:
-            return False
-        return True
+        return _peel(self._in, self._mask(vertices)) is not None
 
     def is_acyclic(self):
         return self.is_acyclic_within(range(self.n))
+
+
+def _peel(in_masks, mask):
+    """Peel the smallest vertex with no in-arc inside mask until mask is empty.
+
+    Returns the peeled order, which is Kahn's order with ties broken by
+    label, or None if mask induces a cycle (a loop counts as one).
+    """
+    order = []
+    while mask:
+        for v in bits(mask):
+            if not in_masks[v] & mask:
+                break
+        else:
+            return None
+        order.append(v)
+        mask &= ~(1 << v)
+    return order
 
 
 def topological_order(g, vertices):
@@ -110,25 +131,10 @@ def topological_order(g, vertices):
 
     Ties are broken by label so the order is deterministic.
     """
-    sub = set(vertices)
-    for v in sub:
-        g.check_vertex(v)
-    indeg = {v: 0 for v in sub}
-    for u, v in g.arcs:
-        if u in sub and v in sub:
-            indeg[v] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in g.out_neighbors(v):
-            if w in indeg and w != v:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    bisect.insort(ready, w)
-    if len(order) != len(sub):
-        raise NotAcyclicError(f"vertex set {sorted(sub)} induces a cycle")
+    mask = g._mask(vertices)
+    order = _peel(g._in, mask)
+    if order is None:
+        raise NotAcyclicError(f"vertex set {list(bits(mask))} induces a cycle")
     return order
 
 
@@ -147,8 +153,8 @@ def reduce_vertex(g, v):
     if g.has_loop(v):
         return g, {u: u for u in range(g.n)}
     m = _compact_map(g.n, {v})
-    ins = [u for u, w in g.arcs if w == v and u != v]
-    outs = [w for u, w in g.arcs if u == v and w != v]
+    ins = list(bits(g._in[v]))
+    outs = list(bits(g._out[v]))
     arcs = {(m[u], m[w]) for u, w in g.arcs if u != v and w != v}
     arcs.update((m[u], m[w]) for u in ins for w in outs)
     return Digraph.of(g.n - 1, arcs), m

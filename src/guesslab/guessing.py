@@ -190,7 +190,8 @@ def _strict_exhaustive(g, q, table_cap, combo_cap):
     prev = 1
     work = 0
     for masks in per_vertex:
-        work += prev * len(masks)
+        # each combination ANDs a states-bit mask, so charge it per 64-bit word
+        work += prev * len(masks) * -(-states // 64)
         prev *= len(masks)
         if state_cap_sets is not None:
             prev = min(prev, state_cap_sets)

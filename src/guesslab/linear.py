@@ -15,10 +15,9 @@ import numpy as np
 
 from . import _kernels
 from .coding import CodingFunction, state_limit
-from .digraph import Digraph, topological_order
+from .digraph import Digraph, _peel, is_compatible, topological_order
 from .errors import PreconditionError, ResourceBoundError
-from .params import acyclic_number, all_max_acyclic_sets
-from .digraph import is_compatible
+from .params import acyclic_number
 
 NOT_LINEARLY_SOLVABLE = "not-linearly-solvable"
 NOT_STRICTLY_LINEARLY_SOLVABLE = "not-strictly-linearly-solvable"
@@ -249,23 +248,21 @@ def weak_compat_certificate(g, limit=12):
     """
     if g.n > limit:
         raise ResourceBoundError(f"certificate search capped at n <= {limit}")
-    alpha = acyclic_number(g, limit=None)
-    if alpha == 0:
+    s = _weak_violation(g, acyclic_number(g, limit=None))
+    if s is None:
         return Certificate(INCONCLUSIVE)
-    for s in all_max_acyclic_sets(g, limit=g.n, alpha=alpha):
-        if not is_compatible(g, s, "weak"):
-            return Certificate(NOT_STRICTLY_LINEARLY_SOLVABLE, s)
-    return Certificate(INCONCLUSIVE)
+    return Certificate(NOT_STRICTLY_LINEARLY_SOLVABLE, s)
 
 
-def _passes_weak_condition(h, alpha):
-    """Do all maximum acyclic sets of h satisfy weak compatibility?"""
+def _weak_violation(g, alpha):
+    """The first maximum acyclic set of g, in combinations order, that is
+    not weakly compatible, or None; alpha is g's acyclic number."""
     if alpha == 0:
-        return True
-    for combo in itertools.combinations(range(h.n), alpha):
-        if h.is_acyclic_within(combo) and not is_compatible(h, combo, "weak"):
-            return False
-    return True
+        return None
+    for combo in itertools.combinations(range(g.n), alpha):
+        if g.is_acyclic_within(combo) and not is_compatible(g, combo, "weak"):
+            return frozenset(combo)
+    return None
 
 
 def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
@@ -280,48 +277,16 @@ def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
     if len(arcs) > arc_cap:
         raise ResourceBoundError(f"spanning-subgraph search capped at {arc_cap} arcs")
     alpha = acyclic_number(g, limit=None)
-    bigger = list(itertools.combinations(range(g.n), alpha + 1)) if alpha < g.n else []
-    arcs_within = []
-    for combo in bigger:
-        inside = frozenset(combo)
-        arcs_within.append(
-            [j for j, (u, v) in enumerate(arcs) if u in inside and v in inside]
-        )
-    subsets_of_arc = [[] for _ in arcs]
-    for si, within in enumerate(arcs_within):
-        for j in within:
-            subsets_of_arc[j].append(si)
+    bigger = [sum(1 << v for v in c) for c in itertools.combinations(range(g.n), alpha + 1)]
 
-    def _subset_acyclic(si, kept_arcs):
-        combo = bigger[si]
-        pos = {v: i for i, v in enumerate(combo)}
-        indeg = [0] * len(combo)
-        outs = [[] for _ in combo]
-        for j in arcs_within[si]:
-            if kept_arcs >> j & 1:
-                u, v = arcs[j]
-                if u == v:
-                    return False
-                outs[pos[u]].append(pos[v])
-                indeg[pos[v]] += 1
-        ready = [i for i, d in enumerate(indeg) if d == 0]
-        done = 0
-        while ready:
-            x = ready.pop()
-            done += 1
-            for y in outs[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    ready.append(y)
-        return done == len(combo)
-
-    def k_drops(kept_child, removed_j):
-        # removing arcs is monotone, so only subsets touching the removed
-        # arc can have turned acyclic
-        for si in subsets_of_arc[removed_j]:
-            if _subset_acyclic(si, kept_child):
-                return True
-        return False
+    def k_drops(h, j):
+        # removing arcs is monotone, so only the (alpha+1)-sets holding both
+        # ends of the removed arc can have turned acyclic
+        u, v = arcs[j]
+        ends = (1 << u) | (1 << v)
+        ins = h.in_masks()
+        ins[v] &= ~(1 << u)
+        return any(_peel(ins, m) is not None for m in bigger if m & ends == ends)
 
     full = (1 << len(arcs)) - 1
     found_pass = False
@@ -331,13 +296,12 @@ def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
         if found_pass:
             return
         h = Digraph.of(g.n, [arcs[j] for j in range(len(arcs)) if kept >> j & 1])
-        if _passes_weak_condition(h, alpha):
+        if _weak_violation(h, alpha) is None:
             found_pass = True
             return
         for j in range(start, len(arcs)):
-            child = kept & ~(1 << j)
-            if not k_drops(child, j):
-                visit(child, j + 1)
+            if not k_drops(h, j):
+                visit(kept & ~(1 << j), j + 1)
             if found_pass:
                 return
 

@@ -39,6 +39,13 @@ def _check(n, limit, what):
         raise ResourceBoundError(f"{what} capped at n <= {limit}, got n = {n}")
 
 
+def _sym_adj(g):
+    """Undirected adjacency bitmasks: the arcs present in both directions,
+    loops dropped."""
+    ins, outs = g.in_masks(), g.out_masks()
+    return [ins[v] & outs[v] & ~(1 << v) for v in range(g.n)]
+
+
 def _find_short_cycle(out_masks, mask):
     """A shortest directed cycle inside mask, as a vertex tuple, or None."""
     best = None
@@ -79,17 +86,9 @@ def _find_short_cycle(out_masks, mask):
 def max_acyclic_set(g, limit=ALPHA_LIMIT):
     """A maximum acyclic vertex set, as a frozenset."""
     _check(g.n, limit, "max acyclic set")
-    loopless = [v for v in range(g.n) if not g.has_loop(v)]
-    universe = 0
-    for v in loopless:
-        universe |= 1 << v
+    universe = sum(1 << v for v in range(g.n) if not g.has_loop(v))
     if g.is_undirected():
-        adj = [0] * g.n
-        for u, v in g.arcs:
-            if u != v:
-                adj[u] |= 1 << v
-        sol = max_independent_set(adj, g.n, universe)
-        return frozenset(bits(sol))
+        return frozenset(bits(max_independent_set(_sym_adj(g), g.n, universe)))
 
     out_masks = g.out_masks()
     best = 0
@@ -215,10 +214,7 @@ def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
 def max_matching(g, limit=None):
     """Maximum matching size over the symmetric (undirected) edges."""
     _check(g.n, limit, "matching")
-    adj = [0] * g.n
-    for u, v in g.symmetric_edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _sym_adj(g)
     memo = {}
 
     def rec(mask):
@@ -238,15 +234,6 @@ def max_matching(g, limit=None):
         return best
 
     return rec((1 << g.n) - 1)
-
-
-def _sym_adj(g):
-    adj = [0] * g.n
-    for u, v in g.arcs:
-        if u != v and (v, u) in g.arcs:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
 
 
 def min_clique_partition(g, limit=PARTITION_LIMIT):
@@ -362,7 +349,7 @@ def in_dominating_counts(g, limit=IDS_LIMIT):
     if not g.is_loopless():
         raise PreconditionError("in-dominating sets are defined for loopless graphs")
     in_masks = g.in_masks()
-    need = [1 if g.in_degree(v) > 0 else 0 for v in range(g.n)]
+    need = [1 if m else 0 for m in in_masks]
     return tuple(int(x) for x in _kernels.ids_size_counts(in_masks, need, g.n))
 
 

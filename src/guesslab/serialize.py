@@ -1,7 +1,8 @@
 """Serialization: a small DOT subset and JSON, with canonical emission.
 
 Canonical output is byte-stable: vertices ascending, arcs lexicographic,
-fixed key order for JSON.  parse(emit(x)) == x for every value.
+fixed key order for JSON.  parse(emit_dot(g)) == g for every digraph and
+parse(emit_json(x)) == x for every value.
 """
 
 from __future__ import annotations
@@ -194,13 +195,3 @@ def parse(text):
     if head.startswith("{"):
         return parse_json(text)
     raise ParseError("input is neither DOT ('digraph ...') nor JSON ('{...}')", 1, 1)
-
-
-def emit(obj, fmt="dot"):
-    if fmt == "dot":
-        if not isinstance(obj, Digraph):
-            raise TypeError("only digraphs have a DOT form")
-        return emit_dot(obj)
-    if fmt == "json":
-        return emit_json(obj)
-    raise ValueError(f"unknown format {fmt!r}")

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from guesslab.coding import CodingFunction
 from guesslab.digraph import Digraph, symmetrized
@@ -26,6 +27,15 @@ def random_digraph(rng, n, p=0.3, loops=False):
         for v in range(n)
         if (loops or u != v) and rng.random() < p
     }
+    return Digraph.of(n, arcs)
+
+
+@st.composite
+def digraphs(draw, max_n=8):
+    """Digraphs on 0..max_n vertices, loops allowed."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
     return Digraph.of(n, arcs)
 
 

@@ -184,6 +184,7 @@ def test_console_script_entry_point():
         ["guess", "FILE", "-q", "1"],
         ["linear", "FILE", "-q", "1"],
         ["hloops", "FILE", "-q", "1"],
+        ["construct", "K", "2", "-1"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):

@@ -113,15 +113,13 @@ def test_fixed_points_zero_dimensional():
     assert count_fixed_points(empty) == 1
 
 
-def test_fixed_points_cap(monkeypatch):
+def test_fixed_points_cap():
     f = min_net(Digraph.of(6, []), 2)
     with pytest.raises(ResourceBoundError):
         fixed_points(f, limit=8)
-    monkeypatch.setenv("GUESSLAB_MAX_STATES", "16")
     with pytest.raises(ResourceBoundError):
-        fixed_points(f)
-    monkeypatch.setenv("GUESSLAB_MAX_STATES", "64")
-    assert len(fixed_points(f)) == 1
+        fixed_points(f, limit=16)
+    assert len(fixed_points(f, limit=64)) == 1
 
 
 def test_reduction_preserves_fixed_points():

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from guesslab._bitset import bits
 from guesslab.constructions import fig1_graph, fig6_graph, gk_family
 from guesslab.digraph import (
     Digraph,
@@ -16,9 +18,15 @@ from guesslab.digraph import (
     topological_order,
 )
 from guesslab.errors import NotAcyclicError, PreconditionError, VertexRangeError
-from guesslab.params import all_max_acyclic_sets, max_acyclic_set
+from guesslab.params import _find_short_cycle, all_max_acyclic_sets, max_acyclic_set
 
-from conftest import complete_graph, random_digraph, random_acyclic_subset, undirected_cycle
+from conftest import (
+    complete_graph,
+    digraphs,
+    random_acyclic_subset,
+    random_digraph,
+    undirected_cycle,
+)
 
 
 def test_digraph_validation():
@@ -203,3 +211,67 @@ def test_strong_implies_weak():
 def test_topological_order_deterministic():
     g = Digraph.of(4, [(2, 0), (3, 0)])
     assert topological_order(g, {0, 1, 2, 3}) == [1, 2, 3, 0]
+
+
+def kahn_order(g, sub):
+    """Kahn's algorithm with a sorted ready list, or None on a cycle."""
+    indeg = {v: sum(1 for u, w in g.arcs if w == v and u in sub) for v in sub}
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for u, w in g.arcs:
+            if u == v and w in indeg and w != v:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready = sorted(ready + [w])
+    return order if len(order) == len(sub) else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_adjacency_queries_match_arc_scan(g):
+    arcs = g.arcs
+    for v in range(g.n):
+        ins = tuple(sorted(u for u, w in arcs if w == v))
+        outs = tuple(sorted(w for u, w in arcs if u == v))
+        assert g.in_neighbors(v) == ins and g.out_neighbors(v) == outs
+        assert g.in_degree(v) == len(ins) and g.out_degree(v) == len(outs)
+        assert g.in_masks()[v] == sum(1 << u for u in ins)
+        assert g.out_masks()[v] == sum(1 << w for w in outs)
+    assert g.loops() == frozenset(u for u, w in arcs if u == w)
+    touched = {u for a in arcs for u in a}
+    assert g.isolated_vertices() == tuple(v for v in range(g.n) if v not in touched)
+    assert g.symmetric_edges() == tuple(sorted((u, w) for u, w in arcs if u < w and (w, u) in arcs))
+    assert g.is_undirected() == all((w, u) in arcs for u, w in arcs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_topological_order_is_sorted_kahn(g):
+    for mask in range(1 << g.n):
+        sub = set(bits(mask))
+        want = kahn_order(g, sub)
+        if want is None:
+            with pytest.raises(NotAcyclicError):
+                topological_order(g, sub)
+        else:
+            assert topological_order(g, sub) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_acyclic_within_agrees_with_cycle_search(g):
+    out_masks = g.out_masks()
+    for mask in range(1 << g.n):
+        assert g.is_acyclic_within(bits(mask)) == (_find_short_cycle(out_masks, mask) is None)
+
+
+def test_adjacency_queries_check_the_vertex():
+    g = Digraph.of(2, [(0, 1)])
+    for query in (g.in_neighbors, g.out_neighbors, g.in_degree, g.out_degree):
+        with pytest.raises(VertexRangeError):
+            query(-1)
+        with pytest.raises(VertexRangeError):
+            query(2)

@@ -97,6 +97,12 @@ def test_witness_reverifies():
         assert interaction_graph(rep.witness).arcs <= g.arcs
 
 
+def test_strict_cap_charges_mask_width():
+    # 2**18 states: few mask combinations, but each one is a 2**18-bit AND
+    with pytest.raises(ResourceBoundError):
+        strict_guessing_number(named("C", 18).graph, 2)
+
+
 def test_strict_loopfull_formula_examples():
     k3 = complete_graph(3)
     t3 = Digraph.of(3, [(0, 1), (0, 2), (1, 2)])

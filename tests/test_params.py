@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from guesslab.constructions import clebsch_graph, grotzsch_graph
-from guesslab.digraph import Digraph, bidirectional_union, symmetrized
+from guesslab.digraph import Digraph, bidirectional_union, is_compatible, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
+from guesslab.linear import INCONCLUSIVE, NOT_STRICTLY_LINEARLY_SOLVABLE, weak_compat_certificate
 from guesslab.params import (
+    _find_short_cycle,
     acyclic_number,
     all_max_acyclic_sets,
     count_in_dominating_sets,
@@ -23,7 +26,7 @@ from guesslab.params import (
     min_intersection_model,
 )
 
-from conftest import complete_graph, random_digraph, undirected_cycle
+from conftest import complete_graph, digraphs, random_digraph, undirected_cycle
 
 
 def brute_alpha(g):
@@ -197,3 +200,44 @@ def test_grotzsch_complement_union():
     union = bidirectional_union(Digraph.of(3, []), comp)
     assert acyclic_number(union, limit=14) == 3
     assert min_clique_partition(union, limit=14) == 4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_weak_certificate_is_first_violation_in_combinations_order(g):
+    out_masks = g.out_masks()
+    alpha = brute_alpha(g)
+    want = None
+    for combo in itertools.combinations(range(g.n), alpha) if alpha else ():
+        acyclic = _find_short_cycle(out_masks, sum(1 << v for v in combo)) is None
+        if acyclic and not is_compatible(g, combo, "weak"):
+            want = frozenset(combo)
+            break
+    cert = weak_compat_certificate(g)
+    assert cert.witness == want
+    assert cert.verdict == (INCONCLUSIVE if want is None else NOT_STRICTLY_LINEARLY_SOLVABLE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_max_matching_against_networkx(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((u, v) for u, v in g.arcs if u != v and (v, u) in g.arcs)
+    assert max_matching(g) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_undirected_max_acyclic_set_against_networkx(d):
+    nx = pytest.importorskip("networkx")
+    g = symmetrized(d)
+    loopless = [v for v in range(g.n) if (v, v) not in g.arcs]
+    h = nx.Graph()
+    h.add_nodes_from(loopless)
+    h.add_edges_from((u, v) for u, v in g.arcs if u != v and u in h and v in h)
+    _, size = nx.max_weight_clique(nx.complement(h), weight=None)
+    s = max_acyclic_set(g)
+    assert len(s) == size
+    assert all((u, v) not in g.arcs for u in s for v in s)
