@@ -205,7 +205,7 @@ def _cmd_solvable(args):
         ok = is_solvable(g, args.q)
         payload["solvable"] = ok
         payload["q"] = args.q
-        payload["k"] = g.n - acyclic_number(g, limit=None)
+        payload["k"] = g.n - acyclic_number(g)
         lines.append(f"solvable over q={args.q}: {ok}")
         if not ok:
             negative = True
@@ -328,12 +328,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
     except GuesslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_BOUND if isinstance(exc, ResourceBoundError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

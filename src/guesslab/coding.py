@@ -15,13 +15,10 @@ import numpy as np
 
 from . import _kernels
 from .digraph import Digraph, _compact_map, _fold_reductions, topological_order
-from .errors import NotAcyclicError, PreconditionError, ResourceBoundError, VertexRangeError
+from .errors import NotAcyclicError, PreconditionError, VertexRangeError, check_bound
 
-DEFAULT_STATE_LIMIT = 1 << 24
-
-
-def state_limit(explicit=None):
-    return DEFAULT_STATE_LIMIT if explicit is None else explicit
+STATE_LIMIT = 1 << 24
+MINDIM_LIMIT = 12
 
 
 def _row_index(q, support, x):
@@ -91,10 +88,9 @@ class CodingFunction:
                     raise ValueError(f"table value {val} outside alphabet")
 
     @classmethod
-    def from_state_functions(cls, n, q, fns, limit=None):
+    def from_state_functions(cls, n, q, fns, limit=STATE_LIMIT):
         """Build from callables over full states; supports become essential."""
-        if q**n > state_limit(limit):
-            raise ResourceBoundError("state space too large to tabulate")
+        check_bound(f"states, {q}**{n}", q**n, limit, "CodingFunction.from_state_functions(limit=)")
         full = tuple(range(n))
         tables = []
         for v in range(n):
@@ -263,24 +259,16 @@ def reduce_set(f, vertices):
     return out.canonicalize(), m
 
 
-def fixed_points(f, limit=None):
+def fixed_points(f, limit=STATE_LIMIT):
     """All states with f(x) = x, lexicographically sorted tuples."""
-    cap = state_limit(limit)
-    if f.q**f.n > cap:
-        raise ResourceBoundError(f"state space {f.q}**{f.n} exceeds cap {cap}")
-    if f.n == 0:
-        return ((),)
+    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, limit, "fixed_points(limit=)")
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     digs = _kernels._digits(np.nonzero(mask)[0], f.n, f.q)
     return tuple(map(tuple, digs.tolist()))
 
 
-def count_fixed_points(f, limit=None):
-    cap = state_limit(limit)
-    if f.q**f.n > cap:
-        raise ResourceBoundError(f"state space {f.q}**{f.n} exceeds cap {cap}")
-    if f.n == 0:
-        return 1
+def count_fixed_points(f, limit=STATE_LIMIT):
+    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, limit, "count_fixed_points(limit=)")
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     return int(mask.sum())
 
@@ -322,10 +310,9 @@ def is_nondecreasing(f):
     return True
 
 
-def mindim(f, limit=12):
+def mindim(f, limit=MINDIM_LIMIT):
     """Minimum dimension over all reduced forms of f."""
-    if f.n > limit:
-        raise ResourceBoundError(f"mindim search capped at n <= {limit}")
+    check_bound("vertices for mindim", f.n, limit, "mindim(limit=)")
     fix = count_fixed_points(f)
     floor = 0
     while f.q**floor < fix:

@@ -22,7 +22,7 @@ from .digraph import (
     symmetrized,
     topological_order,
 )
-from .errors import PreconditionError, ResourceBoundError, SearchFailedError
+from .errors import PreconditionError, SearchFailedError, check_bound
 from .linear import LinearCodingFunction, is_prime
 from .params import _find_short_cycle, acyclic_number
 
@@ -262,6 +262,7 @@ def sls_construction(g, designated):
             raise PreconditionError("an empty set is only valid for an arcless graph")
         return LinearCodingFunction(g.n, 2, tuple(tuple(0 for _ in range(g.n)) for _ in range(g.n)))
     topological_order(g, sub)
+    # inputs come from embed_in_sls, well past max_acyclic_set's default cap
     if len(sub) != acyclic_number(g, limit=None):
         raise PreconditionError("the set is not a maximum acyclic set")
     if not is_compatible(g, sub, "strong"):
@@ -344,6 +345,7 @@ def _inverse_mod(mat, q):
 
 
 KKK_BATCH = 1 << 14
+KKK_MAX_K = 4
 
 
 def kkk_solution(k):
@@ -354,8 +356,7 @@ def kkk_solution(k):
     """
     if k < 1:
         raise PreconditionError("need k >= 1")
-    if k > 4:
-        raise ResourceBoundError("matrix search capped at k <= 4")
+    check_bound("matrix size k for K_{k,k}", k, KKK_MAX_K, "guesslab.constructions.KKK_MAX_K")
     q = 3 * k * k
     while not is_prime(q):
         q += 1

@@ -1,4 +1,4 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one refusal check."""
 
 
 class GuesslabError(Exception):
@@ -18,7 +18,22 @@ class PreconditionError(GuesslabError, ValueError):
 
 
 class ResourceBoundError(GuesslabError):
-    """Exact search would exceed the configured size bound."""
+    """Exact search would exceed its size bound: it needs `needed` against
+    `cap`, which the parameter or constant named by `knob` sets."""
+
+    def __init__(self, message, needed=None, cap=None, knob=None):
+        super().__init__(message)
+        self.needed, self.cap, self.knob = needed, cap, knob
+
+
+def check_bound(what, needed, bound, knob):
+    """Refuse, before any work, a search of size needed over bound (None: unbounded)."""
+    if bound is not None and needed > bound:
+        # Python prints no int of more than 4300 digits
+        shown = needed if needed < 1 << 64 else f"at least 2**{needed.bit_length() - 1}"
+        raise ResourceBoundError(
+            f"{what}: needs {shown}, over the cap {bound} set by {knob}", needed, bound, knob
+        )
 
 
 class SearchFailedError(GuesslabError):

@@ -16,10 +16,12 @@ from . import _kernels
 from ._bitset import bits, max_independent_set
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
-from .errors import PreconditionError, ResourceBoundError
+from .errors import PreconditionError, check_bound
 from .params import IDS_LIMIT, acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
+TABLE_CAP = 1 << 20
+COMBO_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ def guessing_number(g, q, state_cap=STATE_CAP):
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    if q**g.n > state_cap:
-        raise ResourceBoundError(f"conflict graph needs {q}**{g.n} <= {state_cap} states")
+    check_bound(f"conflict states, {q}**{g.n}", q**g.n, state_cap, "guessing_number(state_cap=)")
     if g.n == 0:
         return GuessingReport(g, q, "g", 1, CodingFunction(0, q, (), ()), "conflict-graph")
     adj = _conflict_adjacency(g, q)
@@ -104,14 +105,13 @@ def guessing_number(g, q, state_cap=STATE_CAP):
 
 def _essential_local_tables(q, d, cap):
     """All tables on d inputs that depend essentially on every input."""
-    total = q ** (q**d)
-    if total > cap:
-        raise ResourceBoundError(
-            f"enumerating {q}**({q}**{d}) local tables exceeds the cap {cap}"
-        )
+    rows = q**d
+    # past max(64, cap bits) rows q**rows is surely over the cap: stop there
+    needed = q ** min(rows, max(64, cap.bit_length() + 1))
+    check_bound(f"local tables on {d} inputs", needed, cap, "strict_guessing_number(table_cap=)")
     return [
         flat
-        for flat in itertools.product(range(q), repeat=q**d)
+        for flat in itertools.product(range(q), repeat=rows)
         if len(_essential_positions(q, d, flat)) == d
     ]
 
@@ -137,7 +137,7 @@ def _fix_masks(g, q, v, tables):
     return masks
 
 
-def strict_guessing_number(g, q, table_cap=1 << 20, combo_cap=1 << 22, cross_check=None):
+def strict_guessing_number(g, q, table_cap=TABLE_CAP, combo_cap=COMBO_CAP):
     """Exact max |Fix(f)| over f whose interaction graph equals g.
 
     Loop-full graphs take the closed-form route (in-dominating-set sum)
@@ -146,25 +146,11 @@ def strict_guessing_number(g, q, table_cap=1 << 20, combo_cap=1 << 22, cross_che
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    loop_full = g.n > 0 and all(g.has_loop(v) for v in range(g.n))
-    if loop_full:
+    if g.n > 0 and all(g.has_loop(v) for v in range(g.n)):
         core = strip_loops(g)
         count = _ids_fixed_count(core, q)
         witness = loopfull_witness(core, q)
-        report = GuessingReport(g, q, "h-loops-formula", count, witness, "ids-sum")
-        do_cross = cross_check
-        if do_cross is None:
-            do_cross = q ** (q ** max((g.in_degree(v) for v in range(g.n)), default=0)) <= 4096
-        if do_cross:
-            try:
-                brute = _strict_exhaustive(g, q, table_cap, combo_cap)
-            except ResourceBoundError:
-                brute = None
-            if brute is not None and brute[0] != count:
-                raise AssertionError(
-                    f"loop-full formula {count} disagrees with enumeration {brute[0]}"
-                )
-        return report
+        return GuessingReport(g, q, "h-loops-formula", count, witness, "ids-sum")
     best, tables = _strict_exhaustive(g, q, table_cap, combo_cap)
     witness = CodingFunction(
         g.n, q, tuple(g.in_neighbors(v) for v in range(g.n)), tuple(tables)
@@ -175,29 +161,29 @@ def strict_guessing_number(g, q, table_cap=1 << 20, combo_cap=1 << 22, cross_che
 def _strict_exhaustive(g, q, table_cap, combo_cap):
     if g.n == 0:
         return 1, ()
+    states = q**g.n
+    words = -(-states // 64)
+    # distinct partial masks can never outnumber the subsets of the state
+    # space, so bound the stage-by-stage work, not the raw product
+    state_cap_sets = 1 << states if states <= 30 else None
+    prev = 1
+    work = 0  # state tests, plus 64-bit words ANDed
+    knob = "strict_guessing_number(combo_cap=)"
     per_vertex = []
     for v in range(g.n):
-        d = g.in_degree(v)
-        tables = _essential_local_tables(q, d, table_cap)
+        tables = _essential_local_tables(q, g.in_degree(v), table_cap)
+        work += len(tables) * states  # each table is tested on every state
+        check_bound("strict enumeration work", work, combo_cap, knob)
         masks = {}
         for t, m in zip(tables, _fix_masks(g, q, v, tables)):
             masks.setdefault(m, t)
         per_vertex.append(masks)
-    # distinct partial masks can never outnumber the subsets of the state
-    # space, so bound the stage-by-stage work, not the raw product
-    states = q**g.n
-    state_cap_sets = 1 << states if states <= 30 else None
-    prev = 1
-    work = 0
-    for masks in per_vertex:
-        # each combination ANDs a states-bit mask, so charge it per 64-bit word
-        work += prev * len(masks) * -(-states // 64)
+        work += prev * len(masks) * words  # one states-bit AND per combination
+        check_bound("strict enumeration work", work, combo_cap, knob)
         prev *= len(masks)
         if state_cap_sets is not None:
             prev = min(prev, state_cap_sets)
-        if work > combo_cap:
-            raise ResourceBoundError("strict enumeration exceeds the combination cap")
-    partial = {(1 << (q**g.n)) - 1: ()}
+    partial = {(1 << states) - 1: ()}
     for masks in per_vertex:
         nxt = {}
         for acc, chosen in partial.items():
@@ -214,29 +200,28 @@ def _strict_exhaustive(g, q, table_cap, combo_cap):
 # loop-full closed form
 # ---------------------------------------------------------------------------
 
-def _ids_fixed_count(g_loopless, q, limit=IDS_LIMIT):
-    counts = in_dominating_counts(g_loopless, limit)
+def _ids_fixed_count(g_loopless, q):
+    counts = in_dominating_counts(g_loopless)
     return sum((q - 1) ** k * counts[k] for k in range(len(counts)))
 
 
-def h_loops(g_loopless, q, limit=20):
+def h_loops(g_loopless, q):
     """Strict guessing count of the loop-full closure of a loopless graph,
     via sum_k (q-1)^k I_k."""
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
     if not g_loopless.is_loopless():
         raise PreconditionError("h_loops expects the loopless core")
-    count = _ids_fixed_count(g_loopless, q, limit)
+    count = _ids_fixed_count(g_loopless, q)
     return GuessingReport(add_loops(g_loopless), q, "h-loops-formula", count, None, "ids-sum")
 
 
-def loopfull_witness(g_loopless, q, limit=20):
+def loopfull_witness(g_loopless, q, limit=IDS_LIMIT):
     """The coding function on the loop-full closure whose fixed points are
     exactly the states with in-dominating nonzero support."""
     if not g_loopless.is_loopless():
         raise PreconditionError("loopfull_witness expects the loopless core")
-    if g_loopless.n > limit:
-        raise ResourceBoundError(f"witness capped at n <= {limit}")
+    check_bound("vertices for the witness", g_loopless.n, limit, "loopfull_witness(limit=)")
     n = g_loopless.n
     sups = []
     tabs = []
@@ -261,25 +246,25 @@ def loopfull_witness(g_loopless, q, limit=20):
 # solvability
 # ---------------------------------------------------------------------------
 
-def is_solvable(g, q, state_cap=STATE_CAP):
+def is_solvable(g, q):
     """g(G, q) reaches the feedback bound q**k(G)."""
-    report = guessing_number(g, q, state_cap)
-    return report.max_fix == q ** (g.n - acyclic_number(g, limit=None))
+    report = guessing_number(g, q)
+    return report.max_fix == q ** (g.n - acyclic_number(g))
 
 
-def is_routing_solvable(g, cycle_limit=None):
+def is_routing_solvable(g):
     """c(G) == k(G)."""
-    c, _ = max_disjoint_cycles(g, cycle_limit)
-    return c == g.n - acyclic_number(g, limit=None)
+    c, _ = max_disjoint_cycles(g)
+    return c == g.n - acyclic_number(g)
 
 
-def routing_witness(g, q, cycle_limit=None):
+def routing_witness(g, q):
     """Routing function along a maximum disjoint cycle family.
 
     Cycle vertices copy their predecessor, everything else is constant 0;
     the fixed points are the states constant on each cycle and 0 elsewhere.
     """
-    _, cycles = max_disjoint_cycles(g, cycle_limit)
+    _, cycles = max_disjoint_cycles(g)
     pred = {}
     for cyc in cycles:
         for i, v in enumerate(cyc):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coding import CodingFunction, state_limit
+from .coding import STATE_LIMIT, CodingFunction
 from .digraph import Digraph, _peel, is_compatible, topological_order
-from .errors import PreconditionError, ResourceBoundError
+from .errors import PreconditionError, check_bound
 from .params import acyclic_number
 
 NOT_LINEARLY_SOLVABLE = "not-linearly-solvable"
@@ -26,21 +26,29 @@ INCONCLUSIVE = "inconclusive"
 SEARCH_CAP = 1 << 26
 SEARCH_BATCH = 1 << 15
 PROVER_ARC_CAP = 22
-
-
-def is_prime(q):
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+CERTIFICATE_LIMIT = 12
 
 
 def units(q):
     return tuple(a for a in range(1, q) if math.gcd(a, q) == 1)
+
+
+def _unit_count(q):
+    """Euler's phi(q), the number of units of Z_q, by trial division."""
+    count, rest, d = q, q, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            count -= count // d
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        count -= count // rest
+    return count
+
+
+def is_prime(q):
+    return q >= 2 and _unit_count(q) == q - 1
 
 
 @dataclass(frozen=True)
@@ -67,10 +75,6 @@ class LinearCodingFunction:
             if self.rows[i][u] != 0
         }
         return Digraph.of(self.n, arcs)
-
-    def coefficients_unit(self):
-        us = set(units(self.q))
-        return all(a == 0 or a in us for r in self.rows for a in r)
 
     def to_coding_function(self):
         sups = []
@@ -100,7 +104,7 @@ class LinearReport:
         return math.log(self.max_fix, self.q) if self.max_fix > 0 else float("-inf")
 
 
-def count_fixed_linear(f, limit=None):
+def count_fixed_linear(f):
     """(count, dim): solutions of (A - I) x = 0 mod q.
 
     Prime q gives q**(n - rank) with the dimension; composite q falls back
@@ -117,9 +121,7 @@ def count_fixed_linear(f, limit=None):
             m[0, i, i] = (m[0, i, i] - 1) % q
         rank = int(_kernels.modular_ranks(m, q)[0])
         return q ** (n - rank), n - rank
-    cap = state_limit(limit)
-    if q**n > cap:
-        raise ResourceBoundError("composite-modulus counting needs q**n under the cap")
+    check_bound(f"states, {q}**{n}", q**n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     count = 0
     for x in itertools.product(range(q), repeat=n):
         if all(sum(f.rows[i][u] * x[u] for u in range(n)) % q == x[i] for i in range(n)):
@@ -128,15 +130,15 @@ def count_fixed_linear(f, limit=None):
 
 
 def _scatter_matrices(codes, arcs, allowed, n, q):
-    """Matrices (A - I) mod q for a batch of mixed-radix coefficient codes."""
+    """Matrices (A - I) mod q for a batch of mixed-radix coefficient codes;
+    allowed is a range of consecutive coefficients."""
     base = len(allowed)
     B = codes.shape[0]
     mats = np.zeros((B, n, n), dtype=np.int64)
     digits = codes.copy()
-    vals = np.asarray(allowed, dtype=np.int64)
     for pos in range(len(arcs) - 1, -1, -1):
         u, i = arcs[pos]
-        mats[:, i, u] = vals[digits % base]
+        mats[:, i, u] = allowed.start + digits % base
         digits //= base
     for i in range(n):
         mats[:, i, i] = (mats[:, i, i] - 1) % q
@@ -154,15 +156,20 @@ def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
         raise PreconditionError("alphabet size must be at least 2")
     if mode not in ("g", "h"):
         raise ValueError(f"unknown mode {mode!r}")
+    _kernels._narrowest_dtype(q)  # refuses q whose elimination overflows int64
     arcs = g.arcs_sorted()
-    allowed = ((0,) + units(q)) if mode == "g" else units(q)
-    base = len(allowed)
+    phi = _unit_count(q)  # sizes the coefficient alphabet without listing it
+    prime = phi == q - 1
+    base = phi + (mode == "g")
     total = base ** len(arcs)
-    if total > search_cap:
-        raise ResourceBoundError(f"{base}**{len(arcs)} coefficient matrices exceed the cap")
-    prime = is_prime(q)
+    # composite q enumerates all q**n states of every matrix
+    what, needed = ("coefficient matrices", total) if prime else ("matrix states", total * q**g.n)
+    check_bound(f"{what}, {base}**{len(arcs)}", needed, search_cap, "linear_guessing(search_cap=)")
     if not prime:
+        # the check bounds q once there is an arc; with none, list nothing
+        allowed = ((0,) if mode == "g" else ()) + (units(q) if arcs else ())
         return _linear_guessing_slow(g, q, mode, arcs, allowed, total)
+    allowed = range(0 if mode == "g" else 1, q)  # the units of GF(q), unlisted
     # the fixed-point count q**(n - rank) can exceed int64, so select by
     # minimum rank and form the count as a Python int
     best_rank = g.n + 1
@@ -240,15 +247,14 @@ class Certificate:
     witness: frozenset | None = None
 
 
-def weak_compat_certificate(g, limit=12):
+def weak_compat_certificate(g, limit=CERTIFICATE_LIMIT):
     """Search every maximum acyclic set for a weak-compatibility violation.
 
     A violating set proves h_L(G, q) < k(G) for every q; otherwise the
     check is inconclusive.
     """
-    if g.n > limit:
-        raise ResourceBoundError(f"certificate search capped at n <= {limit}")
-    s = _weak_violation(g, acyclic_number(g, limit=None))
+    check_bound("vertices for the certificate", g.n, limit, "weak_compat_certificate(limit=)")
+    s = _weak_violation(g, acyclic_number(g))
     if s is None:
         return Certificate(INCONCLUSIVE)
     return Certificate(NOT_STRICTLY_LINEARLY_SOLVABLE, s)
@@ -274,9 +280,8 @@ def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
     that necessary condition, no alphabet can solve G linearly.
     """
     arcs = g.arcs_sorted()
-    if len(arcs) > arc_cap:
-        raise ResourceBoundError(f"spanning-subgraph search capped at {arc_cap} arcs")
-    alpha = acyclic_number(g, limit=None)
+    check_bound("arcs for the prover", len(arcs), arc_cap, "prove_not_linearly_solvable(arc_cap=)")
+    alpha = acyclic_number(g, limit=None)  # its cycles use <= arc_cap arcs, bounding it
     bigger = [sum(1 << v for v in c) for c in itertools.combinations(range(g.n), alpha + 1)]
 
     def k_drops(h, j):

@@ -1,8 +1,9 @@
 """Exact combinatorial parameters of small digraphs.
 
-Everything here is exact branch-and-bound or exhaustive search; the size
-caps are arguments with the documented defaults, so a caller can raise
-them deliberately for a one-off fixture.
+Everything here is exact branch-and-bound or exhaustive search.  Each
+search refuses a graph over its one vertex bound `limit`, by default a
+module constant below, before it starts; functions built on the searches
+take no bound of their own.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 
 from . import _kernels
 from ._bitset import bits, max_clique, max_independent_set, maximal_cliques_containing
-from .errors import PreconditionError, ResourceBoundError
+from .errors import PreconditionError, check_bound
 
 ALPHA_LIMIT = 16
 CYCLE_LIMIT = 12
 PARTITION_LIMIT = 12
 IDS_LIMIT = 20
 MODEL_LIMIT = 7
+MATCHING_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -32,11 +34,6 @@ class GraphParams:
     mu: int
     cp: int
     isolated: int
-
-
-def _check(n, limit, what):
-    if limit is not None and n > limit:
-        raise ResourceBoundError(f"{what} capped at n <= {limit}, got n = {n}")
 
 
 def _sym_adj(g):
@@ -85,7 +82,7 @@ def _find_short_cycle(out_masks, mask):
 
 def max_acyclic_set(g, limit=ALPHA_LIMIT):
     """A maximum acyclic vertex set, as a frozenset."""
-    _check(g.n, limit, "max acyclic set")
+    check_bound("vertices for a max acyclic set", g.n, limit, "max_acyclic_set(limit=)")
     universe = sum(1 << v for v in range(g.n) if not g.has_loop(v))
     if g.is_undirected():
         return frozenset(bits(max_independent_set(_sym_adj(g), g.n, universe)))
@@ -138,9 +135,9 @@ def feedback_number(g, limit=ALPHA_LIMIT):
 def all_max_acyclic_sets(g, limit=CYCLE_LIMIT, alpha=None):
     """Every maximum acyclic set; the minimum feedback vertex sets are the
     complements."""
-    _check(g.n, limit, "max acyclic set enumeration")
+    check_bound("vertices for all max acyclic sets", g.n, limit, "all_max_acyclic_sets(limit=)")
     if alpha is None:
-        alpha = acyclic_number(g, limit=None)
+        alpha = acyclic_number(g)
     out = []
     for combo in itertools.combinations(range(g.n), alpha):
         if g.is_acyclic_within(combo):
@@ -148,9 +145,9 @@ def all_max_acyclic_sets(g, limit=CYCLE_LIMIT, alpha=None):
     return out
 
 
-def min_feedback_vertex_sets(g, limit=CYCLE_LIMIT):
+def min_feedback_vertex_sets(g):
     everything = frozenset(range(g.n))
-    return [everything - s for s in all_max_acyclic_sets(g, limit)]
+    return [everything - s for s in all_max_acyclic_sets(g)]
 
 
 def _minimal_cycles_through(out_masks, in_masks, mask, v):
@@ -184,7 +181,7 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v):
 
 def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
     """(count, cycles): a maximum family of vertex-disjoint directed cycles."""
-    _check(g.n, limit, "disjoint cycle packing")
+    check_bound("vertices for disjoint cycle packing", g.n, limit, "max_disjoint_cycles(limit=)")
     in_masks = g.in_masks()
     out_masks = g.out_masks()
     memo = {}
@@ -211,9 +208,9 @@ def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
     return rec((1 << g.n) - 1)
 
 
-def max_matching(g, limit=None):
+def max_matching(g, limit=MATCHING_LIMIT):
     """Maximum matching size over the symmetric (undirected) edges."""
-    _check(g.n, limit, "matching")
+    check_bound("vertices for max matching", g.n, limit, "max_matching(limit=)")
     adj = _sym_adj(g)
     memo = {}
 
@@ -242,7 +239,7 @@ def min_clique_partition(g, limit=PARTITION_LIMIT):
     Exhaustive partition search: branch over the maximal cliques containing
     the lowest uncovered vertex, pruned by |uncovered| / omega.
     """
-    _check(g.n, limit, "clique partition")
+    check_bound("vertices for clique partition", g.n, limit, "min_clique_partition(limit=)")
     if g.n == 0:
         return 0
     adj = _sym_adj(g)
@@ -287,31 +284,31 @@ def isolated_count(g):
     return len(g.isolated_vertices())
 
 
-def graph_params(g, alpha_limit=ALPHA_LIMIT, cycle_limit=CYCLE_LIMIT, partition_limit=PARTITION_LIMIT):
+def graph_params(g):
     """All exact parameters in one record."""
-    alpha = acyclic_number(g, alpha_limit)
-    c, _ = max_disjoint_cycles(g, cycle_limit)
+    alpha = acyclic_number(g)
+    c, _ = max_disjoint_cycles(g)
     return GraphParams(
         k=g.n - alpha,
         alpha=alpha,
         c=c,
         mu=max_matching(g),
-        cp=min_clique_partition(g, partition_limit),
+        cp=min_clique_partition(g),
         isolated=isolated_count(g),
     )
 
 
-def is_vertex_full(g, alpha_limit=ALPHA_LIMIT, partition_limit=PARTITION_LIMIT):
+def is_vertex_full(g):
     """cp(G) == alpha(G)."""
-    return min_clique_partition(g, partition_limit) == acyclic_number(g, alpha_limit)
+    return min_clique_partition(g) == acyclic_number(g)
 
 
 def is_edge_full(g, limit=PARTITION_LIMIT):
     """Can alpha(G) cliques cover every arc?  Implies undirected."""
-    _check(g.n, limit, "edge cover by cliques")
+    check_bound("vertices for edge cover by cliques", g.n, limit, "is_edge_full(limit=)")
     if not g.is_undirected() or not g.is_loopless():
         return False
-    alpha = acyclic_number(g, limit=None)
+    alpha = acyclic_number(g)
     edges = g.symmetric_edges()
     if not edges:
         return True
@@ -345,7 +342,7 @@ def is_edge_full(g, limit=PARTITION_LIMIT):
 
 def in_dominating_counts(g, limit=IDS_LIMIT):
     """counts[k] = number of in-dominating sets of size k.  Loopless only."""
-    _check(g.n, limit, "in-dominating set counting")
+    check_bound("vertices for in-dominating sets", g.n, limit, "in_dominating_counts(limit=)")
     if not g.is_loopless():
         raise PreconditionError("in-dominating sets are defined for loopless graphs")
     in_masks = g.in_masks()
@@ -353,8 +350,8 @@ def in_dominating_counts(g, limit=IDS_LIMIT):
     return tuple(int(x) for x in _kernels.ids_size_counts(in_masks, need, g.n))
 
 
-def count_in_dominating_sets(g, k, limit=IDS_LIMIT):
-    counts = in_dominating_counts(g, limit)
+def count_in_dominating_sets(g, k):
+    counts = in_dominating_counts(g)
     if not (0 <= k <= g.n):
         return 0
     return counts[k]
@@ -366,7 +363,7 @@ def min_intersection_model(g, budget, limit=MODEL_LIMIT):
     Vertices get subsets X_v with u ~ v iff X_u and X_v intersect.
     Backtracking with interchangeable fresh elements used in prefix order.
     """
-    _check(g.n, limit, "intersection model search")
+    check_bound("vertices for an intersection model", g.n, limit, "min_intersection_model(limit=)")
     if not g.is_undirected() or not g.is_loopless():
         raise PreconditionError("intersection models need an undirected loopless graph")
     if budget < 0:
@@ -403,10 +400,10 @@ def min_intersection_model(g, budget, limit=MODEL_LIMIT):
     return None
 
 
-def intersection_number(g, limit=MODEL_LIMIT):
+def intersection_number(g):
     """Smallest ground-set size admitting an intersection model."""
     upper = len(g.symmetric_edges())
     for budget in range(upper + 1):
-        if min_intersection_model(g, budget, limit) is not None:
+        if min_intersection_model(g, budget) is not None:
             return budget
     return upper

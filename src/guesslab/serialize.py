@@ -1,8 +1,8 @@
 """Serialization: a small DOT subset and JSON, with canonical emission.
 
 Canonical output is byte-stable: vertices ascending, arcs lexicographic,
-fixed key order for JSON.  parse(emit_dot(g)) == g for every digraph and
-parse(emit_json(x)) == x for every value.
+fixed key order for JSON.  parse(emit_dot(g)) == g for every digraph on
+at most MAX_VERTICES vertices and parse(emit_json(x)) == x for every value.
 """
 
 from __future__ import annotations
@@ -19,6 +19,16 @@ from .unicast import UnicastInstance
 
 class SerializeWarning(UserWarning):
     pass
+
+
+MAX_VERTICES = 1 << 16  # far above every search bound
+
+
+def _vertex_count(n):
+    """n, refused before a Digraph allocates per-vertex masks for it."""
+    if n > MAX_VERTICES:
+        raise ParseError(f"{n} vertices exceed the parser's limit of {MAX_VERTICES}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +124,7 @@ def parse_dot(text):
     if i >= len(tokens) or tokens[i][0] != "}":
         t = tokens[-1]
         raise ParseError("expected '}'", t[1], t[2])
-    return Digraph.of(max_vertex + 1, arcs)
+    return Digraph.of(_vertex_count(max_vertex + 1), arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def _from_json_payload(data):
                 else:
                     dedup.add(a)
                     clean.append(a)
-            return Digraph.of(int(data["n"]), clean)
+            return Digraph.of(_vertex_count(int(data["n"])), clean)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -43,6 +43,9 @@ from guesslab.digraph import reduce_sequence as graph_reduce_sequence
 from guesslab.digraph import reduce_set as graph_reduce_set
 from guesslab.digraph import reduce_vertex as graph_reduce_vertex
 from guesslab.guessing import (
+    COMBO_CAP,
+    TABLE_CAP,
+    _strict_exhaustive,
     guessing_number,
     h_loops,
     is_routing_solvable,
@@ -176,8 +179,9 @@ def test_criterion_03_loopfull_formula_cross_validation():
         for r in range(len(pairs) + 1):
             for arcs in itertools.combinations(pairs, r):
                 g = Digraph.of(3, arcs)
-                brute = strict_guessing_number(add_loops(g), 2, cross_check=False)
-                assert brute.max_fix == h_loops(g, 2).max_fix
+                # the enumeration itself: loop-full graphs take the formula route
+                brute, _ = _strict_exhaustive(add_loops(g), 2, TABLE_CAP, COMBO_CAP)
+                assert brute == h_loops(g, 2).max_fix
 
         def ids_sum(g, q):
             counts = in_dominating_counts(g)
@@ -473,8 +477,8 @@ def test_criterion_11_sandwich_and_bounds():
                 corpus.append(
                     (
                         closed,
-                        strict_guessing_number(closed, q, cross_check=False).max_fix,
-                        strict_guessing_number(closed, q - 1, cross_check=False).max_fix,
+                        strict_guessing_number(closed, q).max_fix,
+                        strict_guessing_number(closed, q - 1).max_fix,
                     )
                 )
             for g in strict_small[q]:

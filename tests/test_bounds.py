@@ -1,0 +1,101 @@
+"""The bound policy: every exact search refuses through one check, before
+the work, with an error naming the quantity, the size, the cap and the knob."""
+
+import ast
+import pathlib
+import random
+
+import pytest
+
+import guesslab
+from guesslab import guessing, linear
+from guesslab.constructions import named
+from guesslab.cli import main
+from guesslab.digraph import Digraph
+from guesslab.errors import ResourceBoundError, check_bound
+from guesslab.guessing import is_routing_solvable, routing_witness
+from guesslab.params import MATCHING_LIMIT, max_matching
+from guesslab.serialize import emit_dot
+
+from conftest import complete_graph, random_digraph
+
+
+def test_check_bound_names_quantity_size_cap_and_knob():
+    check_bound("widgets", 5, 5, "f(limit=)")
+    check_bound("widgets", 10**9, None, "f(limit=)")
+    with pytest.raises(ResourceBoundError) as exc:
+        check_bound("widgets", 6, 5, "f(limit=)")
+    assert (exc.value.needed, exc.value.cap, exc.value.knob) == (6, 5, "f(limit=)")
+    assert str(exc.value) == "widgets: needs 6, over the cap 5 set by f(limit=)"
+    # too many digits to print: the message gives a power of two instead
+    with pytest.raises(ResourceBoundError, match=r"needs at least 2\*\*20000,") as exc:
+        check_bound("widgets", 1 << 20000, 5, "f(limit=)")
+    assert exc.value.needed == 1 << 20000
+
+
+def test_one_refusal_site():
+    src = pathlib.Path(guesslab.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                target = exc.func if isinstance(exc, ast.Call) else exc
+                if isinstance(target, ast.Name) and target.id == "ResourceBoundError":
+                    sites.append((path.name, fn.name))
+    assert sites == [("errors.py", "check_bound")]
+    text = "".join(p.read_text(encoding="utf-8") for p in src.glob("*.py"))
+    assert text.count("raise ResourceBoundError") == 1
+
+
+@pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
+def test_routing_searches_refuse_past_the_cycle_cap(search):
+    g = random_digraph(random.Random(26), 13, p=0.3)
+    with pytest.raises(ResourceBoundError) as exc:
+        search(g)
+    assert exc.value.needed == 13 > exc.value.cap == 12 and exc.value.knob
+
+
+def test_strict_refuses_before_building_masks(monkeypatch):
+    # C24 at q = 2: two tables per vertex, each tested on 2**24 states
+    def built(*_):
+        raise AssertionError("masks built")
+
+    monkeypatch.setattr(guessing, "_fix_masks", built)
+    with pytest.raises(ResourceBoundError) as exc:
+        guessing.strict_guessing_number(named("C", 24).graph, 2)
+    assert exc.value.needed == 2 * 2**24 > exc.value.cap and exc.value.knob
+
+
+def test_max_matching_refuses_past_its_cap():
+    assert max_matching(complete_graph(MATCHING_LIMIT)) == MATCHING_LIMIT // 2
+    with pytest.raises(ResourceBoundError) as exc:
+        max_matching(complete_graph(32))
+    assert exc.value.needed == 32 > exc.value.cap == MATCHING_LIMIT and exc.value.knob
+
+
+@pytest.mark.parametrize(
+    "arcs, q, codes",
+    [
+        # 100000007 is prime: 100000007**2 matrices on the 2-cycle
+        ([(0, 1), (1, 0)], 100000007, (3,)),
+        # arcless: one matrix, and the units of GF(q) are never listed
+        ([], 100000007, (0,)),
+        # (q-1)**2 + q leaves int64, with or without arcs
+        ([(0, 1), (1, 0)], 10000000019, (2, 3)),
+        ([], 10000000019, (2, 3)),
+    ],
+)
+def test_linear_huge_modulus_lists_no_units(capsys, tmp_path, monkeypatch, arcs, q, codes):
+    def listed(_):
+        raise AssertionError("units listed")
+
+    monkeypatch.setattr(linear, "units", listed)
+    path = tmp_path / "g.dot"
+    path.write_text(emit_dot(Digraph.of(2, arcs)))
+    assert main(["linear", str(path), "-q", str(q)]) in codes
+    err = capsys.readouterr().err
+    assert err.count("\n") == (0 if codes == (0,) else 1)

@@ -162,6 +162,9 @@ def test_resource_bound_exit(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 3
+    # one line naming the quantity, what it needs, the cap and the knob
+    assert err.count("\n") == 1 and "states" in err and "8192" in err and "4096" in err
+    assert "guessing_number(state_cap=)" in err
 
 
 def test_console_script_entry_point():
@@ -185,11 +188,19 @@ def test_console_script_entry_point():
         ["linear", "FILE", "-q", "1"],
         ["hloops", "FILE", "-q", "1"],
         ["construct", "K", "2", "-1"],
+        ["solvable", "HUGE_DOT", "--routing"],
+        ["solvable", "HUGE_JSON", "--routing"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
-    path = tmp_path / "c3.dot"
-    path.write_text(emit_dot(undirected_cycle(3)))
-    code, out, err = run_cli(capsys, [str(path) if a == "FILE" else a for a in argv])
+    files = {
+        "FILE": emit_dot(undirected_cycle(3)),
+        # one vertex id would otherwise allocate 3e9-entry adjacency lists
+        "HUGE_DOT": "digraph { 3000000000; }\n",
+        "HUGE_JSON": '{"n": 3000000000, "arcs": []}',
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_cli(capsys, [str(tmp_path / a) if a in files else a for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -115,10 +115,10 @@ def test_fixed_points_zero_dimensional():
 
 def test_fixed_points_cap():
     f = min_net(Digraph.of(6, []), 2)
-    with pytest.raises(ResourceBoundError):
-        fixed_points(f, limit=8)
-    with pytest.raises(ResourceBoundError):
-        fixed_points(f, limit=16)
+    for limit in (8, 16):
+        with pytest.raises(ResourceBoundError) as exc:
+            fixed_points(f, limit=limit)
+        assert exc.value.needed == 64 > exc.value.cap == limit and exc.value.knob
     assert len(fixed_points(f, limit=64)) == 1
 
 

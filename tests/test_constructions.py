@@ -188,8 +188,9 @@ def test_kkk_solutions():
     assert f3.q == 29
     assert count_fixed_linear(f3)[0] == 29**3
     assert f3.support_graph() == named("K", 3, 3).graph
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         kkk_solution(5)
+    assert exc.value.needed == 5 > exc.value.cap == 4 and exc.value.knob
     with pytest.raises(PreconditionError):
         kkk_solution(0)
 

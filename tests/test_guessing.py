@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from guesslab import _kernels, guessing
@@ -9,6 +10,9 @@ from guesslab.coding import CodingFunction, count_fixed_points, interaction_grap
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
 from guesslab.guessing import (
+    COMBO_CAP,
+    TABLE_CAP,
+    _strict_exhaustive,
     guessing_number,
     h_loops,
     is_routing_solvable,
@@ -24,30 +28,26 @@ from conftest import complete_graph, random_digraph, undirected_cycle
 
 
 def brute_force_max_fix(g, q):
-    """Independent oracle: enumerate every f with G(f) inside g."""
+    """Independent oracle: enumerate every f with G(f) inside g.
+
+    Every tuple of per-vertex tables on the in-neighbourhoods (read from
+    g.arcs) is tried; numpy counts the states each tuple fixes.
+    """
     n = g.n
-    states = list(itertools.product(range(q), repeat=n))
-    sups = [g.in_neighbors(v) for v in range(n)]
-    per_vertex = []
+    states = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int64)
+    fixes = []  # fixes[v][t, x]: table t at vertex v maps state x to x[v]
     for v in range(n):
-        rows = q ** len(sups[v])
-        per_vertex.append(list(itertools.product(range(q), repeat=rows)))
-    best = 0
-    for tables in itertools.product(*per_vertex):
-        cnt = 0
-        for x in states:
-            ok = True
-            for v in range(n):
-                r = 0
-                for s in sups[v]:
-                    r = r * q + x[s]
-                if tables[v][r] != x[v]:
-                    ok = False
-                    break
-            if ok:
-                cnt += 1
-        best = max(best, cnt)
-    return best
+        sup = sorted(u for u, w in g.arcs if w == v)
+        row = np.zeros(len(states), dtype=np.int64)
+        for u in sup:
+            row = row * q + states[:, u]
+        tables = np.array(list(itertools.product(range(q), repeat=q ** len(sup))))
+        fixes.append(tables[:, row] == states[:, v])
+    # rows of acc: every tuple of tables at vertices 1..n-1, in product order
+    acc = np.ones((1, len(states)), dtype=bool)
+    for fix in fixes[1:]:
+        acc = (acc[:, None, :] & fix[None, :, :]).reshape(-1, len(states))
+    return max(int((acc & fix0).sum(axis=1).max()) for fix0 in fixes[0])
 
 
 def test_guessing_k3():
@@ -81,8 +81,9 @@ def test_guessing_matches_brute_force_small():
 
 
 def test_guessing_state_cap():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         guessing_number(Digraph.of(13, []), 2)
+    assert exc.value.needed == 2**13 > exc.value.cap == 4096 and exc.value.knob
 
 
 def test_witness_reverifies():
@@ -99,8 +100,9 @@ def test_witness_reverifies():
 
 def test_strict_cap_charges_mask_width():
     # 2**18 states: few mask combinations, but each one is a 2**18-bit AND
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         strict_guessing_number(named("C", 18).graph, 2)
+    assert exc.value.needed > exc.value.cap and exc.value.knob
 
 
 def test_strict_loopfull_formula_examples():
@@ -149,13 +151,13 @@ def test_loopfull_witness_random():
 
 
 def test_strict_exhaustive_agrees_with_formula_n3_q2():
+    # loop-full graphs take the formula route, so run the enumeration itself
     pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
     for r in range(len(pairs) + 1):
         for arcs in itertools.combinations(pairs, r):
             g = Digraph.of(3, arcs)
-            closed = add_loops(g)
-            brute = strict_guessing_number(closed, 2, cross_check=False)
-            assert brute.max_fix == h_loops(g, 2).max_fix
+            brute, _ = _strict_exhaustive(add_loops(g), 2, TABLE_CAP, COMBO_CAP)
+            assert brute == h_loops(g, 2).max_fix
 
 
 def test_loopfull_lower_bound_corollary():

@@ -100,8 +100,9 @@ def test_linear_guessing_count_beyond_int64(n):
 
 
 def test_linear_guessing_cap():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         linear_guessing(complete_graph(6), 5, "g")
+    assert exc.value.needed == 5**30 > exc.value.cap and exc.value.knob
 
 
 def test_strict_witness_support_is_exact():
@@ -208,8 +209,9 @@ def test_prove_not_linearly_solvable_examples():
 
 
 def test_prove_not_arc_cap():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         prove_not_linearly_solvable(gk_family(4, "maximal"))
+    assert exc.value.needed == 28 > exc.value.cap == 22 and exc.value.knob
 
 
 def test_gk_spanning_subgraph_structure():

@@ -83,8 +83,9 @@ def test_undirected_mu_equals_c():
 
 
 def test_alpha_limit_enforced():
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(ResourceBoundError) as exc:
         max_acyclic_set(Digraph.of(20, []), limit=16)
+    assert exc.value.needed == 20 > exc.value.cap == 16 and exc.value.knob
 
 
 def test_all_max_acyclic_sets():
