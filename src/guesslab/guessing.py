@@ -22,6 +22,7 @@ from .params import IDS_LIMIT, acyclic_number, in_dominating_counts, max_disjoin
 STATE_CAP = 4096
 TABLE_CAP = 1 << 20
 COMBO_CAP = 1 << 22
+WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,40 @@ def _bitsets(rows):
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _conflict_adjacency(g, q):
-    """Bitset adjacency of the conflict graph over all q**n states.
+DIFF_BLOCK = 1 << 20  # difference codes built at once
 
-    States x, y conflict iff some vertex sees the same in-projection but a
-    different own value; independent sets are exactly the consistent
-    fixed-point sets.
-    """
-    total = q**g.n
-    digs = _kernels._digits(np.arange(total), g.n, q)
-    conflict = np.zeros((total, total), dtype=bool)
-    for v in range(g.n):
-        proj = _kernels._support_rows(digs, g.in_neighbors(v), q)
-        same_proj = proj[:, None] == proj[None, :]
-        diff_val = digs[:, v][:, None] != digs[:, v][None, :]
-        conflict |= same_proj & diff_val
-    return _bitsets(conflict)
+
+def _conflict_rows(digs, q, clash):
+    """Bitset adjacency over decoded states: x and y conflict iff clash holds
+    at the code of their digit-wise difference (x - y) mod q."""
+    m = len(digs)
+    # holds every code and every digit + q
+    dtype = np.int32 if 2 * len(clash) <= np.iinfo(np.int32).max else np.int64
+    cols = np.ascontiguousarray(digs.T, dtype=dtype)
+    step = max(1, DIFF_BLOCK // max(m, 1))
+    adj = []
+    for lo in range(0, m, step):
+        codes = np.zeros((min(step, m - lo), m), dtype=dtype)
+        for col in cols:  # Horner over the digits, most significant first
+            diff = np.subtract.outer(col[lo : lo + step] + q, col)
+            codes *= q
+            codes += np.remainder(diff, q, out=diff)
+        adj += _bitsets(clash[codes])
+    return adj
+
+
+def _components(adj, universe):
+    """Bitmasks of the connected components of the graph within universe."""
+    while universe:
+        comp = frontier = universe & -universe
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & universe & ~comp
+            comp |= frontier
+        universe &= ~comp
+        yield comp
 
 
 def _witness_from_states(g, q, chosen_codes):
@@ -84,19 +103,32 @@ def _witness_from_states(g, q, chosen_codes):
 def guessing_number(g, q, state_cap=STATE_CAP):
     """Exact max |Fix(f)| over coding functions with G(f) inside g.
 
-    Computed as a maximum independent set of the conflict graph over all
-    q**n states; the witness extends the chosen partial tables by zero.
+    A set of states is the fixed-point set of some such f iff no two of its
+    states conflict: x and y conflict iff some vertex v has x_v != y_v while
+    x and y agree on the in-neighbourhood N(v).  That depends only on the
+    difference d = x - y mod q (d_v != 0 and d is 0 on N(v)), so translating
+    every state by the same t maps consistent sets to consistent sets of the
+    same size.  Translating a maximum set by one of its own states puts state
+    0 in it; so the answer is 1 plus a maximum independent set among the
+    states that do not conflict with 0, where x and y conflict iff x - y
+    conflicts with 0.  That set is searched one connected component at a
+    time; the witness extends the chosen partial tables by zero.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
     check_bound(f"conflict states, {q}**{g.n}", q**g.n, state_cap, "guessing_number(state_cap=)")
-    if g.n == 0:
-        return GuessingReport(g, q, "g", 1, CodingFunction(0, q, (), ()), "conflict-graph")
-    adj = _conflict_adjacency(g, q)
-    sol = max_independent_set(adj, q**g.n)
-    chosen = sorted(bits(sol))
+    digs = _kernels._digits(np.arange(q**g.n), g.n, q)
+    clash = np.zeros(len(digs), dtype=bool)  # the difference conflicts with 0
+    for v in range(g.n):
+        clash |= (digs[:, v] != 0) & ~digs[:, list(g.in_neighbors(v))].any(axis=1)
+    universe = np.flatnonzero(~clash)[1:]  # code 0 is state 0 itself
+    adj = _conflict_rows(digs[universe], q, clash)
+    sol = 0  # the union of one maximum independent set per component
+    for comp in _components(adj, (1 << len(universe)) - 1):
+        sol |= max_independent_set(adj, len(universe), comp)
+    chosen = [0] + universe[list(bits(sol))].tolist()
     witness = _witness_from_states(g, q, chosen)
-    return GuessingReport(g, q, "g", len(chosen), witness, "conflict-graph")
+    return GuessingReport(g, q, "g", len(chosen), witness, "conflict-graph-state-0-fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +250,25 @@ def h_loops(g_loopless, q):
 
 def loopfull_witness(g_loopless, q, limit=IDS_LIMIT):
     """The coding function on the loop-full closure whose fixed points are
-    exactly the states with in-dominating nonzero support."""
+    exactly the states with in-dominating nonzero support.
+
+    Vertex v copies its own value, plus 1 (mod q) when it has in-neighbours
+    and they and v are all 0; its table has q**(d+1) rows for in-degree d.
+    """
     if not g_loopless.is_loopless():
         raise PreconditionError("loopfull_witness expects the loopless core")
     check_bound("vertices for the witness", g_loopless.n, limit, "loopfull_witness(limit=)")
     n = g_loopless.n
-    sups = []
+    sups = tuple(tuple(sorted({v, *g_loopless.in_neighbors(v)})) for v in range(n))
+    rows = sum(q ** len(sup) for sup in sups)
+    check_bound("witness table rows", rows, WITNESS_ROW_CAP, "guesslab.guessing.WITNESS_ROW_CAP")
     tabs = []
-    for v in range(n):
-        ins = g_loopless.in_neighbors(v)
-        sup = tuple(sorted(set(ins) | {v}))
-        if not ins:
-            sups.append((v,))
-            tabs.append(tuple(range(q)))
-            continue
-        tab = []
-        for assign in itertools.product(range(q), repeat=len(sup)):
-            env = dict(zip(sup, assign))
-            bump = 1 if all(env[u] == 0 for u in sup) else 0
-            tab.append((env[v] + bump) % q)
-        sups.append(sup)
-        tabs.append(tuple(tab))
-    return CodingFunction(n, q, tuple(sups), tuple(tabs))
+    for v, sup in enumerate(sups):
+        tab = np.arange(q ** len(sup)) // q ** (len(sup) - 1 - sup.index(v)) % q
+        if len(sup) > 1:
+            tab[0] = 1 % q  # row 0 is the all-zero assignment
+        tabs.append(tuple(tab.tolist()))
+    return CodingFunction(n, q, sups, tuple(tabs))
 
 
 # ---------------------------------------------------------------------------

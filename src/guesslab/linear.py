@@ -26,6 +26,7 @@ INCONCLUSIVE = "inconclusive"
 SEARCH_CAP = 1 << 26
 SEARCH_BATCH = 1 << 15
 PROVER_ARC_CAP = 22
+PROVER_SET_CAP = 1 << 16  # (alpha+1)-vertex sets listed; 2**16 take about 1 s
 CERTIFICATE_LIMIT = 12
 
 
@@ -282,6 +283,12 @@ def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
     arcs = g.arcs_sorted()
     check_bound("arcs for the prover", len(arcs), arc_cap, "prove_not_linearly_solvable(arc_cap=)")
     alpha = acyclic_number(g, limit=None)  # its cycles use <= arc_cap arcs, bounding it
+    check_bound(
+        f"vertex sets of size {alpha + 1} for the prover",
+        math.comb(g.n, alpha + 1),
+        PROVER_SET_CAP,
+        "guesslab.linear.PROVER_SET_CAP",
+    )
     bigger = [sum(1 << v for v in c) for c in itertools.combinations(range(g.n), alpha + 1)]
 
     def k_drops(h, j):

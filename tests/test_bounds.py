@@ -99,3 +99,22 @@ def test_linear_huge_modulus_lists_no_units(capsys, tmp_path, monkeypatch, arcs,
     assert main(["linear", str(path), "-q", str(q)]) in codes
     err = capsys.readouterr().err
     assert err.count("\n") == (0 if codes == (0,) else 1)
+
+
+def test_prover_refuses_too_many_vertex_sets():
+    # 11 disjoint 2-cycles: 22 arcs pass the arc cap, but alpha = 11 and
+    # C(22, 12) = 646,646 sets of 12 vertices would each be peeled
+    cycles = [(2 * i, 2 * i + 1) for i in range(11)] + [(2 * i + 1, 2 * i) for i in range(11)]
+    with pytest.raises(ResourceBoundError) as exc:
+        linear.prove_not_linearly_solvable(Digraph.of(22, cycles))
+    assert exc.value.needed == 646646 > exc.value.cap == linear.PROVER_SET_CAP
+    assert exc.value.knob == "guesslab.linear.PROVER_SET_CAP"
+
+
+def test_loopfull_witness_refuses_by_table_rows():
+    # K20 passes the 20-vertex limit, but 20 tables of 3**20 rows do not
+    k20 = complete_graph(20)
+    with pytest.raises(ResourceBoundError) as exc:
+        guessing.loopfull_witness(k20, 3)
+    assert exc.value.needed == 20 * 3**20 > exc.value.cap == guessing.WITNESS_ROW_CAP
+    assert exc.value.knob == "guesslab.guessing.WITNESS_ROW_CAP"

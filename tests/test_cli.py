@@ -36,6 +36,7 @@ def test_guess_json_report(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, ["guess", str(path), "-q", "2", "--json"])
     data = json.loads(out)
     assert code == 0 and data["max_fix"] == 4 and data["value"] == pytest.approx(2.0)
+    assert data["method"] == "conflict-graph-state-0-fixed"
 
 
 def test_guess_missing_file(capsys):

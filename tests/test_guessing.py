@@ -2,10 +2,14 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab import _kernels, guessing
+from guesslab._bitset import max_independent_set
 from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
@@ -21,10 +25,10 @@ from guesslab.guessing import (
     routing_witness,
     strict_guessing_number,
 )
-from guesslab.constructions import named, unit_witness
-from guesslab.params import feedback_number
+from guesslab.constructions import gk_family, named, unit_witness
+from guesslab.params import acyclic_number, feedback_number
 
-from conftest import complete_graph, random_digraph, undirected_cycle
+from conftest import complete_graph, digraphs, random_digraph, undirected_cycle
 
 
 def brute_force_max_fix(g, q):
@@ -48,6 +52,65 @@ def brute_force_max_fix(g, q):
     for fix in fixes[1:]:
         acc = (acc[:, None, :] & fix[None, :, :]).reshape(-1, len(states))
     return max(int((acc & fix0).sum(axis=1).max()) for fix0 in fixes[0])
+
+
+def plain_max_fix(g, q):
+    """Oracle: a maximum independent set of the conflict graph over all q**n
+    states, with no symmetry used, one connected component at a time.  x and
+    y conflict iff some vertex v has x_v != y_v while x and y agree on v's
+    in-neighbourhood."""
+    states = np.array(list(itertools.product(range(q), repeat=g.n)), dtype=np.int64)
+    conflict = np.zeros((len(states), len(states)), dtype=bool)
+    for v in range(g.n):
+        sup = list(g.in_neighbors(v))
+        same = (states[:, None, sup] == states[None, :, sup]).all(axis=2)
+        conflict |= same & (states[:, None, v] != states[None, :, v])
+    adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in conflict]
+    return sum(
+        max_independent_set(adj, len(states), sum(1 << v for v in comp)).bit_count()
+        for comp in nx.connected_components(nx.from_numpy_array(conflict))
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([(2, 8), (3, 5)]).flatmap(
+        lambda qn: st.tuples(st.just(qn[0]), digraphs(max_n=qn[1]))
+    )
+)
+def test_fixing_state_0_matches_the_plain_search(case):
+    q, g = case
+    rep = guessing_number(g, q)
+    assert rep.max_fix == plain_max_fix(g, q)
+    assert count_fixed_points(rep.witness) == rep.max_fix
+    assert interaction_graph(rep.witness).arcs <= g.arcs
+    assert rep.witness.evaluate((0,) * g.n) == (0,) * g.n
+
+
+def test_guessing_gk4_below_the_feedback_bound():
+    g = gk_family(4)
+    assert (g.n, acyclic_number(g)) == (7, 3)
+    rep = guessing_number(g, 2)
+    assert rep.max_fix == 10 < 2 ** (g.n - acyclic_number(g))
+    assert count_fixed_points(rep.witness) == 10
+
+
+def test_guessing_searches_components_apart():
+    # vertex 2 reads only itself, so states with different x_2 never
+    # conflict: the conflict graph is three copies of one graph, which the
+    # max-clique search does not finish in minutes when given whole
+    arcs = [(0, 1), (0, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 4), (4, 0), (4, 3)]
+    g = Digraph.of(5, arcs)
+    assert guessing_number(g, 3).max_fix == plain_max_fix(g, 3) == 9
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_guessing_blocked_difference_codes(block, monkeypatch):
+    cases = [(undirected_cycle(7), 2), (complete_graph(4), 3), (gk_family(3), 2)]
+    want = [guessing_number(g, q) for g, q in cases]
+    monkeypatch.setattr(guessing, "DIFF_BLOCK", block)
+    got = [guessing_number(g, q) for g, q in cases]
+    assert [(r.max_fix, r.witness) for r in got] == [(r.max_fix, r.witness) for r in want]
 
 
 def test_guessing_k3():
