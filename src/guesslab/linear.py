@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .coding import STATE_LIMIT, CodingFunction
+from .coding import STATE_LIMIT, CodingFunction, count_fixed_points
 from .digraph import Digraph, _peel, is_compatible, topological_order
 from .errors import PreconditionError, check_bound
 from .params import acyclic_number
@@ -82,12 +82,10 @@ class LinearCodingFunction:
         tabs = []
         for i in range(self.n):
             sup = tuple(u for u in range(self.n) if self.rows[i][u] != 0)
-            tab = [
-                sum(c * x for c, x in zip((self.rows[i][u] for u in sup), assign)) % self.q
-                for assign in itertools.product(range(self.q), repeat=len(sup))
-            ]
+            coeffs = np.array([self.rows[i][u] for u in sup], dtype=np.int64)
+            digs = _kernels._digits(np.arange(self.q ** len(sup)), len(sup), self.q)
             sups.append(sup)
-            tabs.append(tuple(tab))
+            tabs.append(tuple((digs @ coeffs % self.q).tolist()))
         return CodingFunction(self.n, self.q, tuple(sups), tuple(tabs))
 
 
@@ -108,8 +106,8 @@ class LinearReport:
 def count_fixed_linear(f):
     """(count, dim): solutions of (A - I) x = 0 mod q.
 
-    Prime q gives q**(n - rank) with the dimension; composite q falls back
-    to exact state enumeration under the state cap.
+    Prime q gives q**(n - rank) with the dimension; composite q counts the
+    fixed points of the tabulated function under the state cap, with dim None.
     """
     n, q = f.n, f.q
     if n == 0:
@@ -123,11 +121,7 @@ def count_fixed_linear(f):
         rank = int(_kernels.modular_ranks(m, q)[0])
         return q ** (n - rank), n - rank
     check_bound(f"states, {q}**{n}", q**n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
-    count = 0
-    for x in itertools.product(range(q), repeat=n):
-        if all(sum(f.rows[i][u] * x[u] for u in range(n)) % q == x[i] for i in range(n)):
-            count += 1
-    return count, None
+    return count_fixed_points(f.to_coding_function()), None
 
 
 def _scatter_matrices(codes, arcs, allowed, n, q):

@@ -39,6 +39,27 @@ def digraphs(draw, max_n=8):
     return Digraph.of(n, arcs)
 
 
+@st.composite
+def coding_functions(draw, min_n=1, max_n=4, max_q=3):
+    """Tables that ignore a drawn part of their declared support."""
+    n = draw(st.integers(min_n, max_n))
+    q = draw(st.integers(2, max_q))
+    sups, tabs = [], []
+    for _ in range(n):
+        sup = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))))
+        used = [p for p in range(len(sup)) if draw(st.booleans())]
+        inner = draw(st.lists(st.integers(0, q - 1), min_size=q ** len(used), max_size=q ** len(used)))
+        tab = []
+        for assign in itertools.product(range(q), repeat=len(sup)):
+            r = 0
+            for p in used:
+                r = r * q + assign[p]
+            tab.append(inner[r])
+        sups.append(sup)
+        tabs.append(tuple(tab))
+    return CodingFunction(n, q, tuple(sups), tuple(tabs))
+
+
 def random_coding_function(rng, n, q, max_indeg=3):
     sups = []
     tabs = []

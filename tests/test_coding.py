@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from guesslab.coding import (
     CodingFunction,
@@ -25,7 +24,14 @@ from guesslab.digraph import reduce_vertex as graph_reduce_vertex
 from guesslab.errors import NotAcyclicError, ResourceBoundError
 from guesslab.params import feedback_number
 
-from conftest import directed_cycle, random_coding_function, random_digraph, random_acyclic_subset
+from conftest import (
+    coding_functions,
+    directed_cycle,
+    random_acyclic_subset,
+    random_coding_function,
+    random_digraph,
+    undirected_cycle,
+)
 
 
 def test_table_validation():
@@ -111,6 +117,18 @@ def test_fixed_points_zero_dimensional():
     empty = CodingFunction(0, 2, (), ())
     assert fixed_points(empty) == ((),)
     assert count_fixed_points(empty) == 1
+
+
+@pytest.mark.parametrize("n, q, count", [(10, 4, 4), (12, 3, 3)])
+def test_min_net_cycle_fixes_only_constant_states(n, q, count):
+    # min over both neighbours is fixed exactly on the q constant states
+    assert count_fixed_points(min_net(undirected_cycle(n), q)) == count
+
+
+def test_identity_fixes_every_state_in_order():
+    f = CodingFunction(4, 3, tuple((v,) for v in range(4)), ((0, 1, 2),) * 4)
+    assert fixed_points(f) == tuple(itertools.product(range(3), repeat=4))
+    assert count_fixed_points(f) == 81
 
 
 def test_fixed_points_cap():
@@ -224,27 +242,6 @@ def test_mindim_min_net_equals_feedback_number():
         n = rng.randint(1, 8)
         g = random_digraph(rng, n, p=0.3, loops=True)
         assert mindim(min_net(g, 2)) == feedback_number(g)
-
-
-@st.composite
-def coding_functions(draw):
-    """Tables that ignore a drawn part of their declared support."""
-    n = draw(st.integers(1, 4))
-    q = draw(st.integers(2, 3))
-    sups, tabs = [], []
-    for _ in range(n):
-        sup = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))))
-        used = [p for p in range(len(sup)) if draw(st.booleans())]
-        inner = draw(st.lists(st.integers(0, q - 1), min_size=q ** len(used), max_size=q ** len(used)))
-        tab = []
-        for assign in itertools.product(range(q), repeat=len(sup)):
-            r = 0
-            for p in used:
-                r = r * q + assign[p]
-            tab.append(inner[r])
-        sups.append(sup)
-        tabs.append(tuple(tab))
-    return CodingFunction(n, q, tuple(sups), tuple(tabs))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

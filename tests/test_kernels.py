@@ -1,16 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guesslab import _kernels
-from guesslab.coding import min_net
+from guesslab.coding import CodingFunction, min_net
 from guesslab.errors import PreconditionError
 
-from conftest import random_digraph
+from conftest import coding_functions, random_digraph
 
 # (q-1)**2 + q fits in int64 for the first prime and not for the second
 LARGEST_INT64_PRIME = 3037000493
@@ -123,6 +124,28 @@ def test_fix_mask_against_state_enumeration():
             want.append(int(all(f.tables[v][row[v]] == x[v] for v in range(f.n))))
         got = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
         assert got.tolist() == want
+
+
+def full_enumeration_mask(n, q, supports, tables):
+    """The kernel before prefix pruning: decode every state, test every vertex."""
+    digs = _kernels._digits(np.arange(q**n), n, q)
+    ok = np.ones(q**n, dtype=bool)
+    for v in range(n):
+        rows = _kernels._support_rows(digs, supports[v], q)
+        ok &= np.asarray(tables[v], dtype=np.int64)[rows] == digs[:, v]
+    return ok.astype(np.uint8)
+
+
+@pytest.mark.parametrize("block", [_kernels.STATE_BLOCK, 4], ids=["default", "split"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=coding_functions(min_n=0, max_n=6, max_q=4))
+@example(f=CodingFunction(0, 3, (), ()))
+def test_fix_mask_matches_full_enumeration(block, f):
+    # a block of 4 codes splits every frontier of more than 4 // q codes
+    with mock.patch.object(_kernels, "STATE_BLOCK", block):
+        got = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, full_enumeration_mask(f.n, f.q, f.supports, f.tables))
 
 
 def test_ids_counts_against_subset_loop():

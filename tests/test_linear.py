@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
@@ -56,6 +58,30 @@ def test_dim_fix_k22_paper_solution():
     assert f.support_graph() == k22
     assert count_fixed_points(f.to_coding_function()) == 9
     assert interaction_graph(f.to_coding_function()) == k22
+
+
+@st.composite
+def linear_functions(draw):
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    return LinearCodingFunction(n, q, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_functions())
+def test_count_fixed_linear_matches_state_enumeration(f):
+    n, q = f.n, f.q
+    count = sum(
+        all(sum(f.rows[i][u] * x[u] for u in range(n)) % q == x[i] for i in range(n))
+        for x in itertools.product(range(q), repeat=n)
+    )
+    cnt, dim = count_fixed_linear(f)
+    assert cnt == count
+    if q in (2, 3, 5):
+        assert count == q**dim
+    else:
+        assert dim is None
 
 
 def test_dim_fix_composite_modulus():
