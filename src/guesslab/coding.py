@@ -15,46 +15,41 @@ import numpy as np
 
 from . import _kernels
 from .digraph import Digraph, _compact_map, _fold_reductions, topological_order
-from .errors import NotAcyclicError, PreconditionError, VertexRangeError, check_bound
+from .errors import PreconditionError, VertexRangeError, check_bound
 
 STATE_LIMIT = 1 << 24
 MINDIM_LIMIT = 12
 
 
-def _row_index(q, support, x):
-    r = 0
-    for s in support:
-        r = r * q + x[s]
-    return r
+def _axis_runs(q, d, table, p):
+    """The q values of a big-endian table along input p, one run per setting of the others."""
+    stride = q ** (d - 1 - p)
+    for base in range(0, len(table), stride * q):
+        for start in range(base, base + stride):
+            yield table[start : start + stride * q : stride]
 
 
 def _essential_positions(q, d, table):
     """Positions p < d of the inputs a big-endian table depends on essentially."""
-    ess = []
-    for p in range(d):
-        stride = q ** (d - 1 - p)
-        block = stride * q
-        for base in range(0, len(table), block):
-            if any(
-                len({table[base + off + a * stride] for a in range(q)}) > 1
-                for off in range(stride)
-            ):
-                ess.append(p)
-                break
-    return ess
+    return [p for p in range(d) if any(run.count(run[0]) < q for run in _axis_runs(q, d, table, p))]
+
+
+@dataclass(frozen=True)
+class Local:
+    """A single local map keyed by original vertex labels."""
+
+    inputs: tuple
+    table: tuple
 
 
 def _tighten_local(q, inputs, table):
     """The same local map on its essential inputs only, re-tabulated."""
-    keep = _essential_positions(q, len(inputs), table)
-    if len(keep) == len(inputs):
+    d = len(inputs)
+    keep = _essential_positions(q, d, table)
+    if len(keep) == d:
         return Local(tuple(inputs), tuple(table))
-    tab = []
-    for assign in itertools.product(range(q), repeat=len(keep)):
-        full = [0] * len(inputs)
-        for slot, p in enumerate(keep):
-            full[p] = assign[slot]
-        tab.append(table[_row_index(q, range(len(inputs)), full)])
+    cut = tuple(slice(None) if p in keep else 0 for p in range(d))
+    tab = np.asarray(table).reshape((q,) * d)[cut].ravel().tolist()
     return Local(tuple(inputs[p] for p in keep), tuple(tab))
 
 
@@ -102,7 +97,10 @@ class CodingFunction:
     # -- evaluation ---------------------------------------------------------
 
     def local_value(self, v, x):
-        return self.tables[v][_row_index(self.q, self.supports[v], x)]
+        r = 0
+        for s in self.supports[v]:
+            r = r * self.q + x[s]
+        return self.tables[v][r]
 
     def evaluate(self, x):
         return tuple(self.local_value(v, x) for v in range(self.n))
@@ -114,8 +112,10 @@ class CodingFunction:
         return tuple(sup[p] for p in _essential_positions(self.q, len(sup), self.tables[v]))
 
     def canonicalize(self):
-        """Shrink every declared support to the essential one."""
+        """Shrink every declared support to the essential one; self if already so."""
         locs = [_tighten_local(self.q, s, t) for s, t in zip(self.supports, self.tables)]
+        if all(loc.inputs == s for loc, s in zip(locs, self.supports)):
+            return self
         return CodingFunction(
             self.n, self.q, tuple(loc.inputs for loc in locs), tuple(loc.table for loc in locs)
         )
@@ -130,14 +130,40 @@ def interaction_graph(f):
     return Digraph.of(f.n, arcs)
 
 
-def _build_local(f, inputs, value_fn):
-    """Tabulate value_fn over assignments to `inputs` (original labels)."""
+def _substitute(f, i, cum):
+    """f_i with each input u in cum replaced by the local map cum[u].
+
+    Tabulated big-endian over the sorted inputs that f_i then reads.
+    """
+    sup = f.supports[i]
+    if not any(u in cum for u in sup):
+        return Local(sup, f.tables[i])
     q = f.q
-    tab = []
-    for assign in itertools.product(range(q), repeat=len(inputs)):
-        env = dict(zip(inputs, assign))
-        tab.append(value_fn(env) % q)
-    return tuple(tab)
+    inputs = sorted({w for u in sup for w in (cum[u].inputs if u in cum else (u,))})
+    d = len(inputs)
+    size = q**d
+    col = {w: [r // q ** (d - 1 - p) % q for r in range(size)] for p, w in enumerate(inputs)}
+    row = [0] * size
+    for u in sup:
+        if u in cum:
+            inner = [0] * size
+            for w in cum[u].inputs:
+                inner = [a * q + b for a, b in zip(inner, col[w])]
+            val = [cum[u].table[r] for r in inner]
+        else:
+            val = col[u]
+        row = [a * q + b for a, b in zip(row, val)]
+    tab = f.tables[i]
+    return Local(tuple(inputs), tuple(tab[r] for r in row))
+
+
+def _eliminate(f, cum):
+    """Drop the vertices of cum, substituting their local maps; (function, old-to-new map)."""
+    m = _compact_map(f.n, cum)
+    locs = [_substitute(f, i, cum) for i in m]
+    sups = tuple(tuple(m[u] for u in loc.inputs) for loc in locs)
+    out = CodingFunction(len(m), f.q, sups, tuple(loc.table for loc in locs))
+    return out.canonicalize(), m
 
 
 def reduce_vertex(f, v):
@@ -151,44 +177,12 @@ def reduce_vertex(f, v):
     f = f.canonicalize()
     if v in f.supports[v]:
         return f, {u: u for u in range(f.n)}
-    m = _compact_map(f.n, {v})
-    fv_sup = f.supports[v]
-    fv_tab = f.tables[v]
-    new_sups = []
-    new_tabs = []
-    for i in range(f.n):
-        if i == v:
-            continue
-        si = f.supports[i]
-        if v in si:
-            raw = sorted((set(si) | set(fv_sup)) - {v})
-        else:
-            raw = list(si)
-
-        def value(env, si=si, i=i):
-            if v in si:
-                env = dict(env)
-                env[v] = fv_tab[_row_index(f.q, fv_sup, env)]
-            return f.tables[i][_row_index(f.q, si, env)]
-
-        tab = _build_local(f, raw, value)
-        new_sups.append(tuple(m[u] for u in raw))
-        new_tabs.append(tab)
-    out = CodingFunction(f.n - 1, f.q, tuple(new_sups), tuple(new_tabs))
-    return out.canonicalize(), m
+    return _eliminate(f, {v: Local(f.supports[v], f.tables[v])})
 
 
 def reduce_sequence(f, seq):
     """Fold reduce_vertex over original labels."""
     return _fold_reductions(f, seq, reduce_vertex)
-
-
-@dataclass(frozen=True)
-class Local:
-    """A single local map keyed by original vertex labels."""
-
-    inputs: tuple
-    table: tuple
 
 
 def cumulative(f, vertices):
@@ -198,65 +192,17 @@ def cumulative(f, vertices):
     essential ones, built by the triangular recursion in topological order.
     """
     f = f.canonicalize()
-    sub = frozenset(vertices)
-    graph = interaction_graph(f)
-    order = topological_order(graph, sub)  # raises NotAcyclicError
     cum = {}
-    for i in order:
-        si = f.supports[i]
-        raw = set()
-        for u in si:
-            if u in cum:
-                raw |= set(cum[u].inputs)
-            elif u in sub:
-                raise NotAcyclicError("support not topologically sorted")
-            else:
-                raw.add(u)
-        raw = sorted(raw)
-
-        def value(env, si=si, i=i):
-            env = dict(env)
-            for u in si:
-                if u in cum:
-                    env[u] = cum[u].table[_row_index(f.q, cum[u].inputs, env)]
-            return f.tables[i][_row_index(f.q, si, env)]
-
-        cum[i] = _tighten_local(f.q, raw, _build_local(f, raw, value))
+    for i in topological_order(interaction_graph(f), vertices):  # raises NotAcyclicError
+        loc = _substitute(f, i, cum)
+        cum[i] = _tighten_local(f.q, loc.inputs, loc.table)
     return cum
 
 
 def reduce_set(f, vertices):
     """I-reduction via the cumulative function; equals any fold order."""
-    sub = frozenset(vertices)
     f = f.canonicalize()
-    cum = cumulative(f, sub)
-    m = _compact_map(f.n, sub)
-    new_sups = []
-    new_tabs = []
-    for i in range(f.n):
-        if i in sub:
-            continue
-        si = f.supports[i]
-        raw = set()
-        for u in si:
-            if u in sub:
-                raw |= set(cum[u].inputs)
-            else:
-                raw.add(u)
-        raw = sorted(raw)
-
-        def value(env, si=si, i=i):
-            env = dict(env)
-            for u in si:
-                if u in sub:
-                    env[u] = cum[u].table[_row_index(f.q, cum[u].inputs, env)]
-            return f.tables[i][_row_index(f.q, si, env)]
-
-        tab = _build_local(f, raw, value)
-        new_sups.append(tuple(m[u] for u in raw))
-        new_tabs.append(tab)
-    out = CodingFunction(f.n - len(sub), f.q, tuple(new_sups), tuple(new_tabs))
-    return out.canonicalize(), m
+    return _eliminate(f, cumulative(f, vertices))
 
 
 def fixed_points(f, limit=STATE_LIMIT):
@@ -292,22 +238,12 @@ def min_net(g, q):
 
 def is_nondecreasing(f):
     """Monotone in every coordinate over every table row."""
-    q = f.q
-    for v in range(f.n):
-        tab = f.tables[v]
-        d = len(f.supports[v])
-        for p in range(d):
-            stride = q ** (d - 1 - p)
-            block = stride * q
-            for base in range(0, len(tab), block):
-                for off in range(stride):
-                    prev = tab[base + off]
-                    for a in range(1, q):
-                        cur = tab[base + off + a * stride]
-                        if cur < prev:
-                            return False
-                        prev = cur
-    return True
+    return all(
+        run == tuple(sorted(run))
+        for sup, tab in zip(f.supports, f.tables)
+        for p in range(len(sup))
+        for run in _axis_runs(f.q, len(sup), tab, p)
+    )
 
 
 def mindim(f, limit=MINDIM_LIMIT):

@@ -165,6 +165,8 @@ def _fold_reductions(obj, seq, reduce_step):
     cur = obj
     total = {v: v for v in range(obj.n)}
     for v in seq:
+        if not (0 <= v < obj.n):
+            raise VertexRangeError(f"vertex {v} outside 0..{obj.n - 1}")
         if v not in total:
             raise VertexRangeError(f"vertex {v} no longer present")
         cur, step = reduce_step(cur, total[v])
@@ -185,25 +187,17 @@ def reduce_set(g, vertices):
     """
     sub = frozenset(vertices)
     order = topological_order(g, sub)  # raises if g[I] is cyclic
+    inside = g._mask(sub)
     m = _compact_map(g.n, sub)
-    arcs = {(m[u], m[w]) for u, w in g.arcs if u not in sub and w not in sub}
-    # reach[i] = set of j in I reachable from i by arcs inside I (reflexive)
-    reach = {}
-    for i in reversed(order):
-        acc = {i}
-        for j in g.out_neighbors(i):
-            if j in sub and j != i:
-                acc |= reach[j]
-        reach[i] = acc
-    for u in m:
-        entry = set()
-        for i in g.out_neighbors(u):
-            if i in sub:
-                entry |= reach[i]
-        for j in entry:
-            for w in g.out_neighbors(j):
-                if w not in sub:
-                    arcs.add((m[u], m[w]))
+    # exits[v]: the vertices outside I that v reaches by an arc or by a path
+    # whose internal vertices all lie in I; I in reverse topological order first
+    exits = {}
+    for v in [*reversed(order), *m]:
+        acc = g._out[v] & ~inside
+        for j in bits(g._out[v] & inside):
+            acc |= exits[j]
+        exits[v] = acc
+    arcs = {(m[u], m[w]) for u in m for w in bits(exits[u])}
     return Digraph.of(g.n - len(sub), arcs), m
 
 

@@ -72,13 +72,18 @@ def random_coding_function(rng, n, q, max_indeg=3):
     return CodingFunction(n, q, tuple(sups), tuple(tabs))
 
 
-def random_acyclic_subset(rng, g, max_size=3):
-    cand = [
+def acyclic_subsets(g, max_size=3):
+    """Every non-empty vertex set of at most max_size vertices inducing an acyclic subgraph."""
+    return [
         s
         for r in range(1, max_size + 1)
         for s in itertools.combinations(range(g.n), r)
         if g.is_acyclic_within(s)
     ]
+
+
+def random_acyclic_subset(rng, g, max_size=3):
+    cand = acyclic_subsets(g, max_size)
     return rng.choice(cand) if cand else None
 
 

@@ -128,6 +128,19 @@ def test_reduce_function(capsys, monkeypatch):
     assert data["n"] == 1 and data["tables"] == [[1]]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "arcs": [[0, 1]]}',
+        '{"n": 2, "q": 2, "support": [[1], []], "tables": [[0, 1], [1]]}',
+    ],
+)
+def test_reduce_unknown_vertex_exits_2(capsys, monkeypatch, text):
+    code, _, err = run_cli(capsys, ["reduce", "-", "--vertices", "9"], stdin=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert "vertex 9 outside 0..1" in err
+
+
 def test_fix_command(capsys, monkeypatch):
     fn = '{"n": 1, "q": 2, "support": [[0]], "tables": [[0, 1]]}'
     code, out, _ = run_cli(capsys, ["fix", "-", "--json"], stdin=fn, monkeypatch=monkeypatch)

@@ -18,13 +18,14 @@ from guesslab.coding import (
     reduce_vertex,
 )
 from guesslab.constructions import fig1_graph
-from guesslab.digraph import Digraph
+from guesslab.digraph import Digraph, topological_order
 from guesslab.digraph import reduce_set as graph_reduce_set
 from guesslab.digraph import reduce_vertex as graph_reduce_vertex
-from guesslab.errors import NotAcyclicError, ResourceBoundError
+from guesslab.errors import NotAcyclicError, ResourceBoundError, VertexRangeError
 from guesslab.params import feedback_number
 
 from conftest import (
+    acyclic_subsets,
     coding_functions,
     directed_cycle,
     random_acyclic_subset,
@@ -258,3 +259,62 @@ def test_canonicalize_keeps_values_and_only_essential_inputs(f):
                 for x in states
                 for a in range(f.q)
             ), (v, u)
+
+
+def test_canonicalize_returns_canonical_input_itself(fig1_function):
+    assert fig1_function.canonicalize() is fig1_function
+    padded = CodingFunction(2, 2, ((0, 1), ()), ((0, 0, 1, 1), (1,)))
+    assert padded.canonicalize() is not padded
+    assert padded.canonicalize().supports == ((0,), ())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_reduce_set_agrees_with_f_on_extended_states(f):
+    # independent of the substitution: x_I is filled in by f itself, in topological order
+    base = count_fixed_points(f)
+    graph = interaction_graph(f)
+    for sub in acyclic_subsets(graph):
+        reduced, relabel = reduce_set(f, sub)
+        order = topological_order(graph, sub)
+        for y in itertools.product(range(f.q), repeat=reduced.n):
+            x = [0] * f.n
+            for v, k in relabel.items():
+                x[v] = y[k]
+            for i in order:
+                x[i] = f.local_value(i, x)
+            assert reduced.evaluate(y) == tuple(f.local_value(v, x) for v in relabel), (sub, y)
+        assert count_fixed_points(reduced) == base, sub
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_reduce_set_equals_every_fold(f):
+    for sub in acyclic_subsets(interaction_graph(f)):
+        target = reduce_set(f, sub)
+        for perm in itertools.permutations(sub):
+            assert reduce_sequence(f, perm) == target, perm
+
+
+def test_reduce_sequence_label_errors():
+    f = CodingFunction(2, 2, ((), (0,)), ((1,), (0, 1)))
+    for v in (5, 2, -1):
+        with pytest.raises(VertexRangeError, match="outside"):
+            reduce_sequence(f, [v])
+    with pytest.raises(VertexRangeError, match="no longer present"):
+        reduce_sequence(f, [0, 0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_is_nondecreasing_matches_definition(f):
+    # f_v(x) <= f_v(x + e_u) for every v, every input u and every x with x_u < q - 1
+    states = itertools.product(range(f.q), repeat=f.n)
+    want = all(
+        f.local_value(v, x) <= f.local_value(v, x[:u] + (x[u] + 1,) + x[u + 1 :])
+        for x in states
+        for u in range(f.n)
+        if x[u] < f.q - 1
+        for v in range(f.n)
+    )
+    assert is_nondecreasing(f) == want

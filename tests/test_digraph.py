@@ -21,6 +21,7 @@ from guesslab.errors import NotAcyclicError, PreconditionError, VertexRangeError
 from guesslab.params import _find_short_cycle, all_max_acyclic_sets, max_acyclic_set
 
 from conftest import (
+    acyclic_subsets,
     complete_graph,
     digraphs,
     random_acyclic_subset,
@@ -275,3 +276,21 @@ def test_adjacency_queries_check_the_vertex():
             query(-1)
         with pytest.raises(VertexRangeError):
             query(2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_reduce_set_equals_every_fold_property(g):
+    for sub in acyclic_subsets(g):
+        target = reduce_set(g, sub)
+        for perm in itertools.permutations(sub):
+            assert reduce_sequence(g, perm) == target, perm
+
+
+def test_reduce_sequence_label_errors():
+    g = Digraph.of(2, [(0, 1)])
+    for v in (5, 2, -1):
+        with pytest.raises(VertexRangeError, match="outside"):
+            reduce_sequence(g, [v])
+    with pytest.raises(VertexRangeError, match="no longer present"):
+        reduce_sequence(g, [1, 1])
