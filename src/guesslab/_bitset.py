@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 
 def bits(mask):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def subset_masks(n, size):
+    """Bitmasks of the size-subsets of 0..n-1, in itertools.combinations order."""
+    return [sum(c) for c in itertools.combinations([1 << v for v in range(n)], size)]
 
 
 def max_clique(adj, n, universe=None):

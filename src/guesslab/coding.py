@@ -107,10 +107,6 @@ class CodingFunction:
 
     # -- essential supports -------------------------------------------------
 
-    def essential_inputs(self, v):
-        sup = self.supports[v]
-        return tuple(sup[p] for p in _essential_positions(self.q, len(sup), self.tables[v]))
-
     def canonicalize(self):
         """Shrink every declared support to the essential one; self if already so."""
         locs = [_tighten_local(self.q, s, t) for s, t in zip(self.supports, self.tables)]
@@ -121,19 +117,21 @@ class CodingFunction:
         )
 
 
+def _support_graph(f):
+    """Arc (u, v) iff u lies in the declared support of f_v."""
+    return Digraph.of(f.n, ((u, v) for v, sup in enumerate(f.supports) for u in sup))
+
+
 def interaction_graph(f):
     """Arc (u, v) iff f_v depends essentially on x_u."""
-    arcs = set()
-    for v in range(f.n):
-        for u in f.essential_inputs(v):
-            arcs.add((u, v))
-    return Digraph.of(f.n, arcs)
+    return _support_graph(f.canonicalize())
 
 
 def _substitute(f, i, cum):
     """f_i with each input u in cum replaced by the local map cum[u].
 
-    Tabulated big-endian over the sorted inputs that f_i then reads.
+    Tabulated big-endian over the sorted inputs that f_i then reads
+    essentially; f_i comes back as it is if it reads none of cum.
     """
     sup = f.supports[i]
     if not any(u in cum for u in sup):
@@ -154,16 +152,16 @@ def _substitute(f, i, cum):
             val = col[u]
         row = [a * q + b for a, b in zip(row, val)]
     tab = f.tables[i]
-    return Local(tuple(inputs), tuple(tab[r] for r in row))
+    return _tighten_local(q, inputs, [tab[r] for r in row])
 
 
 def _eliminate(f, cum):
-    """Drop the vertices of cum, substituting their local maps; (function, old-to-new map)."""
+    """Drop the vertices of cum from a canonical f, substituting their local
+    maps; (canonical function, old-to-new map)."""
     m = _compact_map(f.n, cum)
     locs = [_substitute(f, i, cum) for i in m]
     sups = tuple(tuple(m[u] for u in loc.inputs) for loc in locs)
-    out = CodingFunction(len(m), f.q, sups, tuple(loc.table for loc in locs))
-    return out.canonicalize(), m
+    return CodingFunction(len(m), f.q, sups, tuple(loc.table for loc in locs)), m
 
 
 def reduce_vertex(f, v):
@@ -191,18 +189,21 @@ def cumulative(f, vertices):
     Returns {i: Local} with inputs drawn from V minus I, tightened to the
     essential ones, built by the triangular recursion in topological order.
     """
-    f = f.canonicalize()
+    return _cumulative(f.canonicalize(), vertices)
+
+
+def _cumulative(f, vertices):
+    """cumulative() of a canonical f, whose supports are its interaction graph."""
     cum = {}
-    for i in topological_order(interaction_graph(f), vertices):  # raises NotAcyclicError
-        loc = _substitute(f, i, cum)
-        cum[i] = _tighten_local(f.q, loc.inputs, loc.table)
+    for i in topological_order(_support_graph(f), vertices):  # raises NotAcyclicError
+        cum[i] = _substitute(f, i, cum)
     return cum
 
 
 def reduce_set(f, vertices):
     """I-reduction via the cumulative function; equals any fold order."""
     f = f.canonicalize()
-    return _eliminate(f, cumulative(f, vertices))
+    return _eliminate(f, _cumulative(f, vertices))
 
 
 def fixed_points(f, limit=STATE_LIMIT):

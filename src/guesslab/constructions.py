@@ -15,13 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .coding import CodingFunction
-from .digraph import (
-    Digraph,
-    count_paths_through,
-    is_compatible,
-    symmetrized,
-    topological_order,
-)
+from .digraph import Digraph, _compatible, _path_counts, symmetrized, topological_order
 from .errors import PreconditionError, SearchFailedError, check_bound
 from .linear import LinearCodingFunction, is_prime
 from .params import _find_short_cycle, acyclic_number
@@ -261,34 +255,29 @@ def sls_construction(g, designated):
         if g.arcs:
             raise PreconditionError("an empty set is only valid for an arcless graph")
         return LinearCodingFunction(g.n, 2, tuple(tuple(0 for _ in range(g.n)) for _ in range(g.n)))
-    topological_order(g, sub)
+    order = topological_order(g, sub)
     # inputs come from embed_in_sls, well past max_acyclic_set's default cap
     if len(sub) != acyclic_number(g, limit=None):
         raise PreconditionError("the set is not a maximum acyclic set")
-    if not is_compatible(g, sub, "strong"):
+    ins, inside = g.in_masks(), sum(1 << i for i in sub)
+    if not _compatible(ins, inside, order, weak=False):
         raise PreconditionError("the set is not strongly compatible")
     outside = [v for v in range(g.n) if v not in sub]
-    counts = {}
-    for u in outside:
-        for v in outside:
-            counts[(u, v)] = count_paths_through(g, sub, u, v)
-    for v in outside:
-        if counts[(v, v)] == 0:
-            raise PreconditionError(
-                "every feedback vertex needs a cycle through the set"
-            )
-    q = _next_prime(max(counts.values(), default=0))
+    counts = {u: _path_counts(ins, inside, order, u) for u in outside}  # counts[u][v]: u -> v
+    if any(counts[v][v] == 0 for v in outside):
+        raise PreconditionError("every feedback vertex needs a cycle through the set")
+    q = _next_prime(max((counts[u][v] for u in outside for v in outside), default=0))
     rows = [[0] * g.n for _ in range(g.n)]
     for i in sorted(sub):
         for u in g.in_neighbors(i):
             rows[i][u] = 1
     for v in outside:
-        inv = pow(counts[(v, v)], -1, q)
+        inv = pow(counts[v][v], -1, q)
         for u in g.in_neighbors(v):
             if u in sub:
                 rows[v][u] = inv
             else:
-                rows[v][u] = (-counts[(u, v)] * inv) % q
+                rows[v][u] = (-counts[u][v] * inv) % q
     return LinearCodingFunction(g.n, q, tuple(tuple(r) for r in rows))
 
 

@@ -37,7 +37,8 @@ class Digraph:
 
     @classmethod
     def of(cls, n, arcs=()):
-        return cls(n, frozenset(tuple(a) for a in arcs))
+        """A digraph from any iterable of (u, v) pairs."""
+        return cls(n, arcs)
 
     # -- basic queries ------------------------------------------------------
 
@@ -116,13 +117,17 @@ def _peel(in_masks, mask):
     """
     order = []
     while mask:
-        for v in bits(mask):
+        rest = mask
+        while rest:  # bits(mask) inlined: this is the prover's inner loop
+            low = rest & -rest
+            v = low.bit_length() - 1
             if not in_masks[v] & mask:
                 break
+            rest ^= low
         else:
             return None
         order.append(v)
-        mask &= ~(1 << v)
+        mask ^= low
     return order
 
 
@@ -226,16 +231,20 @@ def bidirectional_union(g1, g2):
     return Digraph.of(g1.n + g2.n, arcs)
 
 
-def _path_weights_from(g, sub, order, u):
-    """w[i] = number of u -> i paths entering I immediately, internal in I."""
-    w = {}
+def _path_counts(in_masks, inside, order, u):
+    """c[v] for every vertex v: the u -> v paths with at least one internal
+    vertex and every internal vertex in I.
+
+    inside is I's bitmask and order its peel order; w[i] counts the u -> i
+    paths that enter I at once and stay in it.
+    """
+    w = [0] * len(in_masks)
     for i in order:
-        acc = 1 if g.has_arc(u, i) else 0
-        for j in g.in_neighbors(i):
-            if j in w and j != i:
-                acc += w[j]
+        acc = in_masks[i] >> u & 1
+        for j in bits(in_masks[i] & inside):
+            acc += w[j]
         w[i] = acc
-    return w
+    return [sum(w[i] for i in bits(m & inside)) for m in in_masks]
 
 
 def count_paths_through(g, vertices, u, v, include_direct=False):
@@ -251,8 +260,7 @@ def count_paths_through(g, vertices, u, v, include_direct=False):
     if u in sub or v in sub:
         raise PreconditionError("endpoints must lie outside the set")
     order = topological_order(g, sub)
-    w = _path_weights_from(g, sub, order, u)
-    total = sum(w[i] for i in order if g.has_arc(i, v))
+    total = _path_counts(g._in, g._mask(sub), order, u)[v]
     if include_direct and g.has_arc(u, v):
         total += 1
     return total
@@ -271,19 +279,21 @@ def is_compatible(g, vertices, mode="strong"):
     if not sub:
         raise PreconditionError("compatibility needs a non-empty set")
     order = topological_order(g, sub)
-    outside = [x for x in range(g.n) if x not in sub]
+    return _compatible(g._in, g._mask(sub), order, mode == "weak")
+
+
+def _compatible(in_masks, inside, order, weak):
+    """is_compatible on in-bitmasks, for an acyclic I given by its mask and peel order."""
+    outside = [x for x in range(len(in_masks)) if not inside >> x & 1]
     for u in outside:
-        w = _path_weights_from(g, sub, order, u)
+        counts = _path_counts(in_masks, inside, order, u)
         for v in outside:
             if u == v:
                 continue
-            cnt = sum(w[i] for i in order if g.has_arc(i, v))
-            if g.has_arc(u, v):
+            cnt = counts[v]
+            if in_masks[v] >> u & 1:
                 if cnt < 1:
                     return False
-            elif mode == "strong":
-                if cnt >= 1:
-                    return False
-            elif cnt == 1:
+            elif cnt == 1 or (cnt and not weak):
                 return False
     return True

@@ -7,7 +7,6 @@ expressed by allowing zero.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .coding import STATE_LIMIT, CodingFunction, count_fixed_points
-from .digraph import Digraph, _peel, is_compatible, topological_order
+from ._bitset import bits, subset_masks
+from .digraph import Digraph, _compatible, _peel, topological_order
 from .errors import PreconditionError, check_bound
 from .params import acyclic_number
 
@@ -25,8 +25,7 @@ INCONCLUSIVE = "inconclusive"
 
 SEARCH_CAP = 1 << 26
 SEARCH_BATCH = 1 << 15
-PROVER_ARC_CAP = 22
-PROVER_SET_CAP = 1 << 16  # (alpha+1)-vertex sets listed; 2**16 take about 1 s
+PROVER_WORK_CAP = 1 << 20  # vertex sets the prover's sweep tests
 CERTIFICATE_LIMIT = 12
 
 
@@ -249,67 +248,59 @@ def weak_compat_certificate(g, limit=CERTIFICATE_LIMIT):
     check is inconclusive.
     """
     check_bound("vertices for the certificate", g.n, limit, "weak_compat_certificate(limit=)")
-    s = _weak_violation(g, acyclic_number(g))
-    if s is None:
+    alpha_sets = subset_masks(g.n, acyclic_number(g))
+    hit = _weak_violation(g.in_masks(), alpha_sets)
+    if hit is None:
         return Certificate(INCONCLUSIVE)
-    return Certificate(NOT_STRICTLY_LINEARLY_SOLVABLE, s)
+    return Certificate(NOT_STRICTLY_LINEARLY_SOLVABLE, frozenset(bits(alpha_sets[hit])))
 
 
-def _weak_violation(g, alpha):
-    """The first maximum acyclic set of g, in combinations order, that is
-    not weakly compatible, or None; alpha is g's acyclic number."""
-    if alpha == 0:
-        return None
-    for combo in itertools.combinations(range(g.n), alpha):
-        if g.is_acyclic_within(combo) and not is_compatible(g, combo, "weak"):
-            return frozenset(combo)
+def _weak_violation(in_masks, alpha_sets):
+    """Index of the first set in alpha_sets, the bitmasks of every alpha-set
+    in combinations order, that is non-empty, acyclic and not weakly
+    compatible in the graph given by in_masks; None if there is none."""
+    for i, m in enumerate(alpha_sets):
+        order = _peel(in_masks, m)
+        if order and not _compatible(in_masks, m, order, weak=True):
+            return i
     return None
 
 
-def prove_not_linearly_solvable(g, arc_cap=PROVER_ARC_CAP):
+def prove_not_linearly_solvable(g):
     """Sound, incomplete non-solvability prover.
 
     G is linearly solvable iff some spanning subgraph H with k(H) = k(G)
     is strictly linearly solvable; strict solvability forces every maximum
     acyclic set of H to be weakly compatible.  If every such H violates
-    that necessary condition, no alphabet can solve G linearly.
+    that necessary condition, no alphabet can solve G linearly.  The sweep
+    over the H is refused once it has tested PROVER_WORK_CAP vertex sets.
     """
     arcs = g.arcs_sorted()
-    check_bound("arcs for the prover", len(arcs), arc_cap, "prove_not_linearly_solvable(arc_cap=)")
-    alpha = acyclic_number(g, limit=None)  # its cycles use <= arc_cap arcs, bounding it
-    check_bound(
-        f"vertex sets of size {alpha + 1} for the prover",
-        math.comb(g.n, alpha + 1),
-        PROVER_SET_CAP,
-        "guesslab.linear.PROVER_SET_CAP",
-    )
-    bigger = [sum(1 << v for v in c) for c in itertools.combinations(range(g.n), alpha + 1)]
+    alpha = acyclic_number(g)
+    alpha_sets = subset_masks(g.n, alpha)
+    # removing arcs is monotone, so only the (alpha+1)-sets holding both
+    # ends of the removed arc can have turned acyclic
+    holding = [[m for m in subset_masks(g.n, alpha + 1) if m >> u & m >> v & 1] for u, v in arcs]
+    work = 0
 
-    def k_drops(h, j):
-        # removing arcs is monotone, so only the (alpha+1)-sets holding both
-        # ends of the removed arc can have turned acyclic
-        u, v = arcs[j]
-        ends = (1 << u) | (1 << v)
-        ins = h.in_masks()
-        ins[v] &= ~(1 << u)
-        return any(_peel(ins, m) is not None for m in bigger if m & ends == ends)
-
-    full = (1 << len(arcs)) - 1
-    found_pass = False
-
-    def visit(kept, start):
-        nonlocal found_pass
-        if found_pass:
-            return
-        h = Digraph.of(g.n, [arcs[j] for j in range(len(arcs)) if kept >> j & 1])
-        if _weak_violation(h, alpha) is None:
-            found_pass = True
-            return
+    def passes(ins, start):
+        # True if ins, or a subgraph of it with some of arcs[start:] removed
+        # and k still k(G), has only weakly compatible maximum acyclic sets
+        nonlocal work
+        hit = _weak_violation(ins, alpha_sets)
+        work += len(alpha_sets) if hit is None else hit + 1
+        check_bound("vertex sets tested by the prover", work, PROVER_WORK_CAP,
+                    "guesslab.linear.PROVER_WORK_CAP")
+        if hit is None:
+            return True
         for j in range(start, len(arcs)):
-            if not k_drops(h, j):
-                visit(kept & ~(1 << j), j + 1)
-            if found_pass:
-                return
+            u, v = arcs[j]
+            child = ins.copy()
+            child[v] &= ~(1 << u)
+            drop = next((i for i, m in enumerate(holding[j]) if _peel(child, m) is not None), None)
+            work += len(holding[j]) if drop is None else drop + 1
+            if drop is None and passes(child, j + 1):
+                return True
+        return False
 
-    visit(full, 0)
-    return Certificate(INCONCLUSIVE if found_pass else NOT_LINEARLY_SOLVABLE)
+    return Certificate(INCONCLUSIVE if passes(g.in_masks(), 0) else NOT_LINEARLY_SOLVABLE)

@@ -8,11 +8,11 @@ take no bound of their own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bitset import bits, max_clique, max_independent_set, maximal_cliques_containing
+from ._bitset import bits, max_clique, max_independent_set, maximal_cliques_containing, subset_masks
+from .digraph import _peel
 from .errors import PreconditionError, check_bound
 
 ALPHA_LIMIT = 16
@@ -138,11 +138,8 @@ def all_max_acyclic_sets(g, limit=CYCLE_LIMIT, alpha=None):
     check_bound("vertices for all max acyclic sets", g.n, limit, "all_max_acyclic_sets(limit=)")
     if alpha is None:
         alpha = acyclic_number(g)
-    out = []
-    for combo in itertools.combinations(range(g.n), alpha):
-        if g.is_acyclic_within(combo):
-            out.append(frozenset(combo))
-    return out
+    ins = g.in_masks()
+    return [frozenset(bits(m)) for m in subset_masks(g.n, alpha) if _peel(ins, m) is not None]
 
 
 def min_feedback_vertex_sets(g):

@@ -1,5 +1,6 @@
 """The bound policy: every exact search refuses through one check, before
-the work, with an error naming the quantity, the size, the cap and the knob."""
+the work, with an error naming the quantity, the size, the cap and the knob.
+The prover's work bound is the exception: it is checked as the sweep runs."""
 
 import ast
 import pathlib
@@ -9,12 +10,12 @@ import pytest
 
 import guesslab
 from guesslab import guessing, linear
-from guesslab.constructions import named
+from guesslab.constructions import gk_family, named
 from guesslab.cli import main
 from guesslab.digraph import Digraph
 from guesslab.errors import ResourceBoundError, check_bound
 from guesslab.guessing import is_routing_solvable, routing_witness
-from guesslab.params import MATCHING_LIMIT, max_matching
+from guesslab.params import ALPHA_LIMIT, MATCHING_LIMIT, max_matching
 from guesslab.serialize import emit_dot
 
 from conftest import complete_graph, random_digraph
@@ -102,13 +103,84 @@ def test_linear_huge_modulus_lists_no_units(capsys, tmp_path, monkeypatch, arcs,
 
 
 def test_prover_refuses_too_many_vertex_sets():
-    # 11 disjoint 2-cycles: 22 arcs pass the arc cap, but alpha = 11 and
-    # C(22, 12) = 646,646 sets of 12 vertices would each be peeled
+    # 11 disjoint 2-cycles: alpha = 11, and C(22, 12) = 646,646 sets of 12
+    # vertices; the acyclic number's vertex bound refuses first
     cycles = [(2 * i, 2 * i + 1) for i in range(11)] + [(2 * i + 1, 2 * i) for i in range(11)]
     with pytest.raises(ResourceBoundError) as exc:
         linear.prove_not_linearly_solvable(Digraph.of(22, cycles))
-    assert exc.value.needed == 646646 > exc.value.cap == linear.PROVER_SET_CAP
-    assert exc.value.knob == "guesslab.linear.PROVER_SET_CAP"
+    assert exc.value.needed == 22 > exc.value.cap == ALPHA_LIMIT
+    assert exc.value.knob == "max_acyclic_set(limit=)"
+
+
+def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(linear, "PROVER_WORK_CAP", 1000)
+    path = tmp_path / "gk4.dot"
+    path.write_text(emit_dot(gk_family(4, "maximal")))
+    assert main(["solvable", str(path), "--prove-nonlinear"]) == 3
+    assert "guesslab.linear.PROVER_WORK_CAP" in capsys.readouterr().err
+
+
+def test_knob_inventory():
+    # every bound a caller can set: a new one shows up here as a diff
+    src = pathlib.Path(guesslab.__file__).parent
+    knobs = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                knobs.update(
+                    f"{path.stem}.{t.id}"
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.endswith(("_CAP", "_LIMIT"))
+                )
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                args = fn.args.args + fn.args.kwonlyargs
+                knobs.update(
+                    f"{path.stem}.{fn.name}({a.arg}=)"
+                    for a in args
+                    if "limit" in a.arg or "cap" in a.arg
+                )
+    assert knobs == KNOBS
+
+
+KNOBS = {
+    "coding.STATE_LIMIT",
+    "coding.MINDIM_LIMIT",
+    "coding.from_state_functions(limit=)",
+    "coding.fixed_points(limit=)",
+    "coding.count_fixed_points(limit=)",
+    "coding.mindim(limit=)",
+    "guessing.COMBO_CAP",
+    "guessing.STATE_CAP",
+    "guessing.TABLE_CAP",
+    "guessing.WITNESS_ROW_CAP",
+    "guessing.guessing_number(state_cap=)",
+    "guessing.strict_guessing_number(combo_cap=)",
+    "guessing.strict_guessing_number(table_cap=)",
+    "guessing.loopfull_witness(limit=)",
+    "linear.PROVER_WORK_CAP",
+    "linear.SEARCH_CAP",
+    "linear.CERTIFICATE_LIMIT",
+    "linear.linear_guessing(search_cap=)",
+    "linear.weak_compat_certificate(limit=)",
+    "params.ALPHA_LIMIT",
+    "params.CYCLE_LIMIT",
+    "params.PARTITION_LIMIT",
+    "params.IDS_LIMIT",
+    "params.MODEL_LIMIT",
+    "params.MATCHING_LIMIT",
+    "params.max_acyclic_set(limit=)",
+    "params.acyclic_number(limit=)",
+    "params.feedback_number(limit=)",
+    "params.all_max_acyclic_sets(limit=)",
+    "params.max_disjoint_cycles(limit=)",
+    "params.max_matching(limit=)",
+    "params.min_clique_partition(limit=)",
+    "params.is_edge_full(limit=)",
+    "params.in_dominating_counts(limit=)",
+    "params.min_intersection_model(limit=)",
+}
 
 
 def test_loopfull_witness_refuses_by_table_rows():

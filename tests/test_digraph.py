@@ -209,6 +209,44 @@ def test_strong_implies_weak():
             assert is_compatible(g, sub, "weak")
 
 
+def enumerated_paths(g, sub, u, v):
+    """Oracle: every u -> v path with at least one internal vertex and all of
+    them in sub, listed one by one; sub is acyclic, so every such walk is a
+    path."""
+    found = []
+
+    def extend(path):
+        for y in g.out_neighbors(path[-1]):
+            if y == v and len(path) > 1:
+                found.append((*path, y))
+            if y in sub:
+                extend((*path, y))
+
+    extend((u,))
+    return found
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(digraphs(max_n=6))
+def test_path_counts_and_compatibility_match_path_enumeration(g):
+    for sub in acyclic_subsets(g):
+        outside = [x for x in range(g.n) if x not in sub]
+        counts = {}
+        for u in outside:
+            for v in outside:
+                counts[u, v] = len(enumerated_paths(g, sub, u, v))
+                assert count_paths_through(g, sub, u, v) == counts[u, v]
+                direct = counts[u, v] + g.has_arc(u, v)
+                assert count_paths_through(g, sub, u, v, include_direct=True) == direct
+        pairs = [(u, v) for u in outside for v in outside if u != v]
+        strong = all(g.has_arc(u, v) == (counts[u, v] >= 1) for u, v in pairs)
+        weak = all(
+            counts[u, v] >= 1 if g.has_arc(u, v) else counts[u, v] != 1 for u, v in pairs
+        )
+        assert is_compatible(g, sub, "strong") == strong
+        assert is_compatible(g, sub, "weak") == weak
+
+
 def test_topological_order_deterministic():
     g = Digraph.of(4, [(2, 0), (3, 0)])
     assert topological_order(g, {0, 1, 2, 3}) == [1, 2, 3, 0]

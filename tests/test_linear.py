@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from guesslab import linear
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.constructions import clique_solution, fig6_graph, gk_family
-from guesslab.digraph import Digraph, add_loops, bidirectional_union, count_paths_through, symmetrized
+from guesslab.digraph import (
+    Digraph,
+    add_loops,
+    bidirectional_union,
+    count_paths_through,
+    is_compatible,
+    symmetrized,
+)
 from guesslab.errors import NotAcyclicError, ResourceBoundError
-from guesslab.guessing import guessing_number
+from guesslab.guessing import guessing_number, is_routing_solvable
 from guesslab.linear import (
     INCONCLUSIVE,
     NOT_LINEARLY_SOLVABLE,
@@ -24,7 +32,7 @@ from guesslab.linear import (
 )
 from guesslab.params import acyclic_number, feedback_number, is_vertex_full, min_clique_partition
 
-from conftest import complete_graph, random_digraph, undirected_cycle
+from conftest import complete_graph, digraphs, random_digraph, undirected_cycle
 
 
 def k22_paper_solution(q=3):
@@ -235,9 +243,74 @@ def test_prove_not_linearly_solvable_examples():
 
 
 def test_prove_not_arc_cap():
+    # 28 arcs are no bar; the sweep itself runs past its work bound
     with pytest.raises(ResourceBoundError) as exc:
         prove_not_linearly_solvable(gk_family(4, "maximal"))
-    assert exc.value.needed == 28 > exc.value.cap == 22 and exc.value.knob
+    assert exc.value.needed > exc.value.cap == linear.PROVER_WORK_CAP
+    assert exc.value.knob == "guesslab.linear.PROVER_WORK_CAP"
+
+
+def plain_prove(g):
+    """Oracle: the sweep with one Digraph per visited spanning subgraph, its
+    maximum acyclic sets checked by is_compatible and a drop in k found by
+    testing every (alpha+1)-set, with no bound on the work."""
+    arcs = g.arcs_sorted()
+    alpha = acyclic_number(g, limit=None)
+
+    def weakly_compatible(h):
+        return alpha == 0 or all(
+            is_compatible(h, s, "weak")
+            for s in itertools.combinations(range(g.n), alpha)
+            if h.is_acyclic_within(s)
+        )
+
+    def k_drops(h):
+        return any(h.is_acyclic_within(s) for s in itertools.combinations(range(g.n), alpha + 1))
+
+    def passes(kept, start):
+        if weakly_compatible(Digraph.of(g.n, [arcs[j] for j in kept])):
+            return True
+        for j in range(start, len(arcs)):
+            rest = kept - {j}
+            if not k_drops(Digraph.of(g.n, [arcs[i] for i in rest])) and passes(rest, j + 1):
+                return True
+        return False
+
+    return INCONCLUSIVE if passes(frozenset(range(len(arcs))), 0) else NOT_LINEARLY_SOLVABLE
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(digraphs(max_n=6))
+def test_prover_matches_the_plain_sweep(g):
+    assert prove_not_linearly_solvable(g).verdict == plain_prove(g)
+
+
+def test_prover_matches_the_plain_sweep_on_small_graphs():
+    # every graph on at most 6 vertices; five are not linearly solvable
+    nx = pytest.importorskip("networkx")
+    verdicts = []
+    for G in nx.graph_atlas_g()[1:209]:
+        edges = list(G.edges())
+        g = Digraph.of(G.number_of_nodes(), edges + [(v, u) for u, v in edges])
+        verdicts.append(prove_not_linearly_solvable(g).verdict)
+        assert verdicts[-1] == plain_prove(g)
+    assert verdicts.count(NOT_LINEARLY_SOLVABLE) == 5
+
+
+def test_triangle_free_atlas_not_linear_iff_not_routing():
+    # the paper's second result on every non-empty triangle-free graph on
+    # at most 7 vertices, K_{3,4} among them
+    nx = pytest.importorskip("networkx")
+    verdicts = []
+    for G in nx.graph_atlas_g():
+        if G.number_of_edges() == 0 or any(nx.triangles(G).values()):
+            continue
+        edges = list(G.edges())
+        g = Digraph.of(G.number_of_nodes(), edges + [(v, u) for u, v in edges])
+        verdicts.append((is_routing_solvable(g), prove_not_linearly_solvable(g).verdict))
+    assert len(verdicts) == 165
+    assert verdicts.count((False, NOT_LINEARLY_SOLVABLE)) == 12
+    assert verdicts.count((True, INCONCLUSIVE)) == 153
 
 
 def test_gk_spanning_subgraph_structure():
