@@ -300,41 +300,43 @@ def is_vertex_full(g):
     return min_clique_partition(g) == acyclic_number(g)
 
 
+def _edge_clique_cover(g, budget):
+    """At most `budget` maximal cliques, as bitmasks, that cover every edge of
+    the undirected loopless g, or None.
+
+    Branches over the maximal cliques through the lowest uncovered edge.
+    Every clique of a cover lies in a maximal one, so the search is exact.
+    """
+    adj = _sym_adj(g)
+    full = (1 << g.n) - 1
+
+    def rec(uncovered, left):
+        u = next((v for v, m in enumerate(uncovered) if m), None)
+        if u is None:
+            return []
+        if left == 0:
+            return None
+        w = (uncovered[u] & -uncovered[u]).bit_length() - 1
+        for c in maximal_cliques_containing(adj, (1 << u) | (1 << w), full):
+            rest = rec([m & ~c if c >> v & 1 else m for v, m in enumerate(uncovered)], left - 1)
+            if rest is not None:
+                return [c] + rest
+        return None
+
+    return rec(adj, budget)
+
+
 def is_edge_full(g, limit=PARTITION_LIMIT):
-    """Can alpha(G) cliques cover every arc?  Implies undirected."""
+    """Can alpha(G) - isolated cliques cover every edge?  Implies undirected.
+
+    A clique holds at most one vertex of an independent set, so no cover is
+    smaller.  On undirected graphs this holds iff some (then every) maximum
+    independent set is strongly compatible.
+    """
     check_bound("vertices for edge cover by cliques", g.n, limit, "is_edge_full(limit=)")
     if not g.is_undirected() or not g.is_loopless():
         return False
-    alpha = acyclic_number(g)
-    edges = g.symmetric_edges()
-    if not edges:
-        return True
-    adj = _sym_adj(g)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    all_edges = (1 << len(edges)) - 1
-
-    def covered_by(clique):
-        m = 0
-        vs = list(bits(clique))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                m |= 1 << edge_index[(u, v)]
-        return m
-
-    def rec(uncovered, used):
-        if uncovered == 0:
-            return True
-        if used >= alpha:
-            return False
-        e = (uncovered & -uncovered).bit_length() - 1
-        u, v = edges[e]
-        seed = (1 << u) | (1 << v)
-        for c in maximal_cliques_containing(adj, seed, (1 << g.n) - 1):
-            if rec(uncovered & ~covered_by(c), used + 1):
-                return True
-        return False
-
-    return rec(all_edges, 0)
+    return _edge_clique_cover(g, acyclic_number(g) - isolated_count(g)) is not None
 
 
 def in_dominating_counts(g, limit=IDS_LIMIT):
@@ -357,50 +359,26 @@ def count_in_dominating_sets(g, k):
 def min_intersection_model(g, budget, limit=MODEL_LIMIT):
     """An intersection model over a ground set of size `budget`, or None.
 
-    Vertices get subsets X_v with u ~ v iff X_u and X_v intersect.
-    Backtracking with interchangeable fresh elements used in prefix order.
+    Vertices get subsets X_v of range(budget) with u ~ v iff X_u and X_v
+    intersect.  A cover C_0..C_{b-1} of the edges by b <= budget cliques
+    gives the model X_v = {i : v in C_i}, and every model arises this way
+    (Erdos-Goodman-Posa); isolated vertices get the empty set.
     """
     check_bound("vertices for an intersection model", g.n, limit, "min_intersection_model(limit=)")
     if not g.is_undirected() or not g.is_loopless():
         raise PreconditionError("intersection models need an undirected loopless graph")
     if budget < 0:
         return None
-    adj = _sym_adj(g)
-    n = g.n
-    sets = [0] * n
-
-    def candidates(used):
-        for t in range(0, budget - used + 1):
-            block = ((1 << t) - 1) << used
-            for sub in range(1 << used):
-                yield sub | block, used + t
-
-    def consistent(v, mask):
-        for u in range(v):
-            if (adj[v] >> u & 1) != (1 if sets[u] & mask else 0):
-                return False
-        return True
-
-    def rec(v, used):
-        if v == n:
-            return True
-        for mask, new_used in candidates(used):
-            if consistent(v, mask):
-                sets[v] = mask
-                if rec(v + 1, new_used):
-                    return True
-        sets[v] = 0
-        return False
-
-    if rec(0, 0):
-        return tuple(frozenset(bits(m)) for m in sets)
-    return None
+    cover = _edge_clique_cover(g, budget)
+    if cover is None:
+        return None
+    return tuple(frozenset(i for i, c in enumerate(cover) if c >> v & 1) for v in range(g.n))
 
 
 def intersection_number(g):
-    """Smallest ground-set size admitting an intersection model."""
-    upper = len(g.symmetric_edges())
-    for budget in range(upper + 1):
-        if min_intersection_model(g, budget) is not None:
-            return budget
-    return upper
+    """Smallest ground-set size admitting an intersection model: the edge
+    clique cover number.  A cover by single edges always exists."""
+    budget = 0
+    while min_intersection_model(g, budget) is None:
+        budget += 1
+    return budget

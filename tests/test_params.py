@@ -125,6 +125,10 @@ def test_vertex_full_edge_full_examples():
     assert is_edge_full(p3)
     assert not is_vertex_full(undirected_cycle(5))
     assert not is_edge_full(Digraph.of(2, [(0, 1)]))  # directed arc
+    # C4 plus two isolated vertices: its 4 edges need 4 cliques, which is
+    # alpha = 4 but more than alpha - isolated = 2
+    c4_isolated = bidirectional_union(undirected_cycle(4), Digraph.of(2, []))
+    assert not is_edge_full(c4_isolated)
 
 
 def test_ids_counts_k3():
@@ -173,6 +177,54 @@ def test_intersection_model_isolated_vertices():
     g = Digraph.of(3, [(0, 1), (1, 0)])
     model = min_intersection_model(g, 1)
     assert model is not None and model[2] == frozenset()
+
+
+def plain_intersection_model(g, budget):
+    """Reference model search: backtracking over the subset X_v of each vertex
+    in turn, with interchangeable fresh elements used in prefix order."""
+    adj = [sum(1 << u for u in range(g.n) if u != v and g.has_arc(u, v)) for v in range(g.n)]
+    sets = [0] * g.n
+
+    def candidates(used):
+        for t in range(0, budget - used + 1):
+            block = ((1 << t) - 1) << used
+            for sub in range(1 << used):
+                yield sub | block, used + t
+
+    def consistent(v, mask):
+        for u in range(v):
+            if (adj[v] >> u & 1) != (1 if sets[u] & mask else 0):
+                return False
+        return True
+
+    def rec(v, used):
+        if v == g.n:
+            return True
+        for mask, new_used in candidates(used):
+            if consistent(v, mask):
+                sets[v] = mask
+                if rec(v + 1, new_used):
+                    return True
+        sets[v] = 0
+        return False
+
+    return budget >= 0 and rec(0, 0)
+
+
+def test_intersection_models_match_the_plain_search():
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            g = Digraph.of(n, edges + [(v, u) for u, v in edges])
+            theta = intersection_number(g)
+            for b in (theta - 1, theta):
+                model = min_intersection_model(g, b)
+                assert (model is not None) == (b == theta) == plain_intersection_model(g, b), (edges, b)
+                if model is not None:
+                    assert all(x < b for xs in model for x in xs)
+                    for u, v in pairs:
+                        assert bool(model[u] & model[v]) == ((u, v) in edges), (edges, b)
 
 
 def test_clebsch_and_union_fixture():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from guesslab.coding import CodingFunction, count_fixed_points
 from guesslab.constructions import fig5_graph
@@ -14,7 +15,7 @@ from guesslab.unicast import (
     to_guessing_digraph,
 )
 
-from conftest import complete_graph, random_digraph
+from conftest import coding_functions, complete_graph, random_digraph
 
 
 def test_butterfly_converts_to_k3():
@@ -68,6 +69,13 @@ def test_json_round_trip_examples():
     assert parse(emit_json(f)) == f
     inst = butterfly_instance()
     assert parse(emit_json(inst)) == inst
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_json_round_trip_coding_functions(f):
+    f = f.canonicalize()
+    assert parse(emit_json(f)) == f
 
 
 def test_round_trip_fuzz_canonical():
