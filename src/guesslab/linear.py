@@ -1,8 +1,8 @@
 """Linear coding functions over Z_q and exact linear guessing numbers.
 
-Strict-mode coefficient matrices carry units of Z_q on every arc of the
-target graph and zeros elsewhere; subgraph freedom in g_L mode is
-expressed by allowing zero.
+Coefficient matrices carry a unit of Z_q on every arc (mode h) or a unit or
+zero (mode g); conjugating by a diagonal of units keeps the fixed points, so
+the search fixes 1 on a spanning forest of each matrix's zero pattern.
 """
 
 from __future__ import annotations
@@ -123,84 +123,111 @@ def count_fixed_linear(f):
     return count_fixed_points(f.to_coding_function()), None
 
 
-def _scatter_matrices(codes, arcs, allowed, n, q):
-    """Matrices (A - I) mod q for a batch of mixed-radix coefficient codes;
-    allowed is a range of consecutive coefficients."""
-    base = len(allowed)
-    B = codes.shape[0]
-    mats = np.zeros((B, n, n), dtype=np.int64)
-    digits = codes.copy()
-    for pos in range(len(arcs) - 1, -1, -1):
-        u, i = arcs[pos]
-        mats[:, i, u] = allowed.start + digits % base
-        digits //= base
-    for i in range(n):
-        mats[:, i, i] = (mats[:, i, i] - 1) % q
-    return mats
+def _pattern_blocks(arcs, n, mode, phi):
+    """(present, free) bool arrays, a row per zero pattern and a column per
+    arc, SEARCH_BATCH patterns a block.  Mode "g" walks every subset of arcs
+    ascending, arcs[0] the most significant bit; mode "h" has arcs as its one
+    pattern.  free marks the present arcs off the pattern's greedy spanning
+    forest, grown in arc order with a component label per vertex and row
+    (loops never join it); with one unit (q = 2) every present arc is free."""
+    m = len(arcs)
+    for lo in range(0, 1 << m if mode == "g" else 1, SEARCH_BATCH):
+        if mode == "g":
+            codes = np.arange(lo, min(lo + SEARCH_BATCH, 1 << m), dtype=">u8").view(np.uint8)
+            present = np.unpackbits(codes.reshape(-1, 8), axis=1)[:, 64 - m :].view(bool)
+        else:
+            present = np.ones((1, m), dtype=bool)
+        tree = np.zeros_like(present)
+        if phi > 1:
+            label = np.broadcast_to(np.arange(n), (len(present), n))
+            for j, (u, i) in enumerate(arcs):
+                if u != i:
+                    lu, li = label[:, u, None], label[:, i, None]
+                    tree[:, j] = present[:, j] & (lu != li)[:, 0]
+                    label = np.where(tree[:, j, None] & (label == li), lu, label)
+        yield present, present & ~tree
+
+
+def _coefficient_batches(present, free, phi, unit):
+    """Coefficients on the arcs of a block's gauge-fixed matrices in unit's
+    dtype, SEARCH_BATCH a batch: forest arcs carry 1, absent arcs 0, and each
+    pattern's free arcs count up through the units, the first most significant."""
+    if phi == 1:  # one matrix per pattern, so the block is one batch
+        yield present.astype(unit.dtype)
+        return
+    # place[:, j]: phi**(free arcs after arc j), the weight of arc j's unit digit
+    place = phi ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
+    counts = phi ** free.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    for lo in range(0, total, SEARCH_BATCH):
+        k = np.arange(lo, min(lo + SEARCH_BATCH, total), dtype=np.int64)
+        p = np.searchsorted(starts, k, side="right") - 1
+        digits = (k - starts[p])[:, None] // place[p] % phi
+        yield np.where(free[p], unit[digits], present[p])
+
+
+def _coefficient_function(vals, arcs, n, q):
+    rows = [[0] * n for _ in range(n)]
+    for (u, i), a in zip(arcs, vals.tolist()):
+        rows[i][u] = a
+    return LinearCodingFunction(n, q, rows)
 
 
 def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
     """Exact max fixed-point count over coefficient matrices on g.
 
     mode "g": each arc carries 0 or a unit (interaction graph inside g);
-    mode "h": units only (interaction graph exactly g).  The witness is
-    the lexicographically first maximiser over the sorted arc list.
+    mode "h": units only (interaction graph exactly g).  A diagonal D of
+    units gives D(A - I)D^-1 = DAD^-1 - I, so the scan fixes a gauge: per
+    zero pattern only the phi(q)**(arcs off its forest) matrices with 1 on
+    the pattern's greedy spanning forest.  The witness is the first
+    maximiser in (pattern, free units) order, patterns ascending with the
+    first sorted arc as the most significant bit.  The gauge-fixed count
+    (times q**n states for composite q) is refused over search_cap before
+    any rank is taken; mode "g" checks its 2**arcs patterns first.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
     if mode not in ("g", "h"):
         raise ValueError(f"unknown mode {mode!r}")
-    _kernels._narrowest_dtype(q)  # refuses q whose elimination overflows int64
+    dt = _kernels._narrowest_dtype(q)  # refuses q whose elimination overflows int64
     arcs = g.arcs_sorted()
-    phi = _unit_count(q)  # sizes the coefficient alphabet without listing it
+    m, n = len(arcs), g.n
+    phi = _unit_count(q)  # sizes the unit alphabet without listing it
     prime = phi == q - 1
-    base = phi + (mode == "g")
-    total = base ** len(arcs)
+    knob = "linear_guessing(search_cap=)"
+    patterns = 1 << m if mode == "g" else 1
+    check_bound(f"coefficient patterns, 2**{m}", patterns, search_cap, knob)
+    # a single block of patterns is labelled once, for both the count and the scan
+    kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
+    hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
+               for _, free in kept or _pattern_blocks(arcs, n, mode, phi))
+    total = sum(int(c) * phi**k for k, c in enumerate(hist))
     # composite q enumerates all q**n states of every matrix
-    what, needed = ("coefficient matrices", total) if prime else ("matrix states", total * q**g.n)
-    check_bound(f"{what}, {base}**{len(arcs)}", needed, search_cap, "linear_guessing(search_cap=)")
-    if not prime:
-        # the check bounds q once there is an arc; with none, list nothing
-        allowed = ((0,) if mode == "g" else ()) + (units(q) if arcs else ())
-        return _linear_guessing_slow(g, q, mode, arcs, allowed, total)
-    allowed = range(0 if mode == "g" else 1, q)  # the units of GF(q), unlisted
-    # the fixed-point count q**(n - rank) can exceed int64, so select by
-    # minimum rank and form the count as a Python int
-    best_rank = g.n + 1
-    best_code = 0
-    for start in range(0, total, SEARCH_BATCH):
-        codes = np.arange(start, min(start + SEARCH_BATCH, total), dtype=np.int64)
-        mats = _scatter_matrices(codes, arcs, allowed, g.n, q)
-        ranks = _kernels.modular_ranks(mats, q)
-        idx = int(np.argmin(ranks))
-        if int(ranks[idx]) < best_rank:
-            best_rank = int(ranks[idx])
-            best_code = start + idx
-    witness = _decode_witness(best_code, arcs, allowed, g.n, q)
-    dim = g.n - best_rank
-    return LinearReport(g, q, mode, q**dim, dim, witness)
-
-
-def _decode_witness(code, arcs, allowed, n, q):
-    rows = [[0] * n for _ in range(n)]
-    base = len(allowed)
-    for pos in range(len(arcs) - 1, -1, -1):
-        u, i = arcs[pos]
-        rows[i][u] = allowed[code % base]
-        code //= base
-    return LinearCodingFunction(n, q, tuple(tuple(r) for r in rows))
-
-
-def _linear_guessing_slow(g, q, mode, arcs, allowed, total):
-    best_count = -1
-    best = None
-    for code in range(total):
-        f = _decode_witness(code, arcs, allowed, g.n, q)
-        count, _ = count_fixed_linear(f)
-        if count > best_count:
-            best_count = count
-            best = f
-    return LinearReport(g, q, mode, best_count, None, best)
+    what, needed = ("gauge-fixed coefficient matrices", total) if prime else (
+        "gauge-fixed matrix states", total * q**n)
+    check_bound(what, needed, search_cap, knob)
+    # list the units only if some arc is free: a forest at a huge prime q needs none
+    unit = np.array(units(q) if total > patterns else (1,), dtype=dt)
+    tails, heads = np.array(arcs, dtype=np.intp).reshape(m, 2).T
+    minus_identity = np.eye(n, dtype=dt) * (q - 1)  # loops add to it; ranks read mod q
+    best = 0, None, None  # fixed points as a Python int (q**dim can pass int64), dim, vals
+    for present, free in kept or _pattern_blocks(arcs, n, mode, phi):
+        for vals in _coefficient_batches(present, free, phi, unit):
+            if prime:
+                mats = np.repeat(minus_identity[None], len(vals), axis=0)
+                mats[:, heads, tails] += vals
+                dims = n - _kernels.modular_ranks(mats, q)
+                idx = int(np.argmax(dims))
+                fix, dim = q ** int(dims[idx]), int(dims[idx])
+            else:
+                fixes = [count_fixed_linear(_coefficient_function(v, arcs, n, q))[0] for v in vals]
+                idx = int(np.argmax(fixes))
+                fix, dim = fixes[idx], None
+            if fix > best[0]:
+                best = fix, dim, vals[idx]
+    return LinearReport(g, q, mode, *best[:2], _coefficient_function(best[2], arcs, n, q))
 
 
 def linear_reduce(f, vertices):

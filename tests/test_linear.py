@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from guesslab import linear
+from guesslab import _kernels, linear
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.constructions import clique_solution, fig6_graph, gk_family
@@ -134,9 +135,76 @@ def test_linear_guessing_count_beyond_int64(n):
 
 
 def test_linear_guessing_cap():
+    # refused on its 2**30 zero patterns, before any pattern array is built
     with pytest.raises(ResourceBoundError) as exc:
         linear_guessing(complete_graph(6), 5, "g")
-    assert exc.value.needed == 5**30 > exc.value.cap and exc.value.knob
+    assert exc.value.needed == 2**30 > exc.value.cap and exc.value.knob
+
+
+def test_linear_guessing_c7_strict_q5_runs_under_the_cap():
+    # 4**14 matrices scanned plainly; the gauge leaves 4**8.  C7 is
+    # triangle-free and not routing-solvable, so the paper's second result
+    # puts it below q**k
+    c7 = undirected_cycle(7)
+    rep = linear_guessing(c7, 5, "h")
+    assert rep.witness.support_graph() == c7
+    assert count_fixed_linear(rep.witness) == (rep.max_fix, rep.dim)
+    k = feedback_number(c7)
+    assert not is_routing_solvable(c7) and rep.max_fix < 5**k
+
+
+def plain_linear_guessing(g, q, mode):
+    """Oracle: every coefficient matrix on g, coded mixed-radix over the
+    sorted arcs (the first most significant) with digits 0 (mode g only)
+    then the units; returns (max_fix, dim, first maximiser)."""
+    arcs = g.arcs_sorted()
+    allowed = np.array(((0,) if mode == "g" else ()) + linear.units(q), dtype=np.int64)
+    total = len(allowed) ** len(arcs)
+    best = (0, None, None)
+    for start in range(0, total, 1 << 12):
+        digits = np.arange(start, min(start + (1 << 12), total), dtype=np.int64)
+        mats = np.zeros((len(digits), g.n, g.n), dtype=np.int64)
+        for u, i in reversed(arcs):
+            mats[:, i, u] = allowed[digits % len(allowed)]
+            digits //= len(allowed)
+        if linear.is_prime(q):
+            dims = g.n - _kernels.modular_ranks(mats - np.eye(g.n, dtype=np.int64), q)
+            counts = [(q ** int(d), int(d)) for d in dims]
+        else:
+            counts = [(count_fixed_linear(LinearCodingFunction(g.n, q, m))[0], None) for m in mats]
+        idx = max(range(len(counts)), key=lambda j: (counts[j][0], -j))
+        if counts[idx][0] > best[0]:
+            best = (*counts[idx], LinearCodingFunction(g.n, q, mats[idx]))
+    return best
+
+
+def greedy_forest(g):
+    """Arcs of g's spanning forest grown in sorted arc order, loops skipped."""
+    comp = list(range(g.n))
+    forest = []
+    for u, i in g.arcs_sorted():
+        cu, ci = comp[u], comp[i]
+        if cu != ci:
+            forest.append((u, i))
+            comp = [cu if c == ci else c for c in comp]
+    return forest
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(digraphs(max_n=5), st.sampled_from([2, 3, 4, 5]), st.sampled_from("gh"))
+def test_gauge_fixed_search_matches_the_plain_scan(g, q, mode):
+    base = len(linear.units(q)) + (mode == "g")
+    # composite q tabulates each matrix's q**n states, so bound those too
+    assume(base ** len(g.arcs) * (1 if linear.is_prime(q) else q**g.n) <= 1 << 16)
+    max_fix, dim, first = plain_linear_guessing(g, q, mode)
+    rep = linear_guessing(g, q, mode)
+    assert (rep.max_fix, rep.dim) == (max_fix, dim)
+    assert count_fixed_linear(rep.witness)[0] == max_fix
+    support = rep.witness.support_graph()
+    assert support == g if mode == "h" else support.arcs <= g.arcs
+    assert all(rep.witness.rows[i][u] == 1 for u, i in greedy_forest(support))
+    if q == 2:
+        assert rep.witness == first
 
 
 def test_strict_witness_support_is_exact():
