@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .coding import CodingFunction, fixed_points
@@ -73,10 +72,6 @@ def _vertex_list(spec):
         raise ParseError(f"bad vertex list {spec!r}") from exc
 
 
-def _log_q(count, q):
-    return math.log(count, q) if count > 0 else float("-inf")
-
-
 def _report(args, payload, human_lines):
     if getattr(args, "json", False):
         print(json.dumps(payload))
@@ -129,7 +124,7 @@ def _cmd_guess(args):
         "kind": report.kind,
         "q": args.q,
         "max_fix": report.max_fix,
-        "value": _log_q(report.max_fix, args.q),
+        "value": report.value,
         "method": report.method,
     }
     _report(
@@ -151,7 +146,7 @@ def _cmd_hloops(args):
         "kind": report.kind,
         "q": args.q,
         "max_fix": report.max_fix,
-        "value": _log_q(report.max_fix, args.q),
+        "value": report.value,
     }
     _report(
         args,
@@ -234,9 +229,10 @@ def _cmd_construct(args):
         params = [int(p) for p in args.params]
     except ValueError as exc:
         raise ParseError(f"construct parameters must be integers: {args.params}") from exc
+    arity = {"gk": 1, "clique": 1, "biclique": 2}.get(args.family)
+    if arity is not None and len(params) != arity:
+        raise PreconditionError(f"{args.family} takes {arity} parameter(s), got {len(params)}")
     if args.family == "gk":
-        if len(params) != 1:
-            raise PreconditionError("gk takes one parameter, k")
         g = named("gk", *params, "minimal" if args.minimal else "maximal").graph
     else:
         key = {

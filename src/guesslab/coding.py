@@ -3,12 +3,11 @@
 Each vertex v owns a sorted support tuple and a value table of length
 q**len(support).  Rows are indexed big-endian in support order, i.e. the
 row for assignment (a_0, ..., a_{d-1}) to (s_0, ..., s_{d-1}) is
-sum a_k * q**(d-1-k), matching itertools.product enumeration.
+sum a_k * q**(d-1-k); `_kernels._digits` decodes rows into assignments.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +86,9 @@ class CodingFunction:
         """Build from callables over full states; supports become essential."""
         check_bound(f"states, {q}**{n}", q**n, limit, "CodingFunction.from_state_functions(limit=)")
         full = tuple(range(n))
-        tables = []
-        for v in range(n):
-            tab = [int(fns[v](x)) % q for x in itertools.product(range(q), repeat=n)]
-            tables.append(tuple(tab))
-        raw = cls(n, q, tuple(full for _ in range(n)), tuple(tables))
+        states = list(map(tuple, _kernels._digits(np.arange(q**n), n, q).tolist()))
+        tables = tuple(tuple(int(fns[v](x)) % q for x in states) for v in range(n))
+        raw = cls(n, q, tuple(full for _ in range(n)), tables)
         return raw.canonicalize()
 
     # -- evaluation ---------------------------------------------------------
@@ -138,21 +135,16 @@ def _substitute(f, i, cum):
         return Local(sup, f.tables[i])
     q = f.q
     inputs = sorted({w for u in sup for w in (cum[u].inputs if u in cum else (u,))})
-    d = len(inputs)
-    size = q**d
-    col = {w: [r // q ** (d - 1 - p) % q for r in range(size)] for p, w in enumerate(inputs)}
-    row = [0] * size
-    for u in sup:
+    digs = _kernels._digits(np.arange(q ** len(inputs)), len(inputs), q)
+    vals = np.empty((len(digs), len(sup)), dtype=np.int64)  # column p: the value fed to sup[p]
+    for p, u in enumerate(sup):
         if u in cum:
-            inner = [0] * size
-            for w in cum[u].inputs:
-                inner = [a * q + b for a, b in zip(inner, col[w])]
-            val = [cum[u].table[r] for r in inner]
+            inner = _kernels._support_rows(digs, [inputs.index(w) for w in cum[u].inputs], q)
+            vals[:, p] = np.take(cum[u].table, inner)
         else:
-            val = col[u]
-        row = [a * q + b for a, b in zip(row, val)]
-    tab = f.tables[i]
-    return _tighten_local(q, inputs, [tab[r] for r in row])
+            vals[:, p] = digs[:, inputs.index(u)]
+    row = _kernels._support_rows(vals, range(len(sup)), q)
+    return _tighten_local(q, inputs, np.asarray(f.tables[i])[row].tolist())
 
 
 def _eliminate(f, cum):
@@ -224,17 +216,11 @@ def min_net(g, q):
     """f_i(x) = min of the in-neighbour values, with min(empty) = q - 1."""
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    sups = []
-    tabs = []
-    for v in range(g.n):
-        sup = g.in_neighbors(v)
-        sups.append(sup)
-        tab = [
-            min(assign) if assign else q - 1
-            for assign in itertools.product(range(q), repeat=len(sup))
-        ]
-        tabs.append(tuple(tab))
-    return CodingFunction(g.n, q, tuple(sups), tuple(tabs))
+    sups = tuple(g.in_neighbors(v) for v in range(g.n))
+    tabs = {}  # a vertex's table depends only on its in-degree
+    for d in {len(s) for s in sups}:
+        tabs[d] = tuple(_kernels._digits(np.arange(q**d), d, q).min(axis=1, initial=q - 1).tolist())
+    return CodingFunction(g.n, q, sups, tuple(tabs[len(s)] for s in sups))
 
 
 def is_nondecreasing(f):

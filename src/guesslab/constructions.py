@@ -8,13 +8,12 @@ next to the oracles.
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .coding import CodingFunction
+from .coding import CodingFunction, min_net
 from .digraph import Digraph, _compatible, _path_counts, symmetrized, topological_order
 from .errors import PreconditionError, SearchFailedError, check_bound
 from .linear import LinearCodingFunction, is_prime
@@ -215,23 +214,14 @@ def unit_witness(g, q):
     cycle = _find_short_cycle(g.out_masks(), (1 << g.n) - 1)
     if cycle is None:
         raise PreconditionError("the graph has no cycle")
-    on_cycle = {v: cycle[i - 1] for i, v in enumerate(cycle)}
-    sups = []
-    tabs = []
-    for v in range(g.n):
-        sup = g.in_neighbors(v)
-        sups.append(sup)
-        tab = []
-        for assign in itertools.product(range(q), repeat=len(sup)):
-            env = dict(zip(sup, assign))
-            if v in on_cycle:
-                prev = env[on_cycle[v]]
-                val = prev if all(env[j] >= prev for j in sup) else (prev + 1) % q
-            else:
-                val = min(env.values()) if env else q - 1
-            tab.append(val)
-        tabs.append(tuple(tab))
-    return CodingFunction(g.n, q, tuple(sups), tuple(tabs))
+    f = min_net(g, q)
+    tabs = list(f.tables)
+    for i, v in enumerate(cycle):
+        sup = f.supports[v]
+        x = _kernels._digits(np.arange(q ** len(sup)), len(sup), q)
+        prev = x[:, sup.index(cycle[i - 1])]
+        tabs[v] = tuple(np.where((x >= prev[:, None]).all(1), prev, (prev + 1) % q).tolist())
+    return CodingFunction(g.n, q, f.supports, tuple(tabs))
 
 
 def _next_prime(x):
@@ -436,21 +426,12 @@ def reduction_target_fn(d, h, q):
         carried = sorted(sub_id[(w, j)] for w in (in_h - in_d))
         shift_vars = [sub_id[(u, j)] for u in shifted]
         sup = tuple(sorted(set(shifted) | set(plain) | set(carried) | set(shift_vars)))
-
-        def value(env, shifted=shifted, plain=plain, carried=carried):
-            vals = [q - 1]
-            for u in shifted:
-                vals.append(env[u] + q - 1 - env[sub_id[(u, j)]])
-            vals.extend(env[u] for u in plain)
-            vals.extend(env[e] for e in carried)
-            return min(vals)
-
-        tab = [
-            value(dict(zip(sup, assign))) % q
-            for assign in itertools.product(range(q), repeat=len(sup))
-        ]
+        x = _kernels._digits(np.arange(q ** len(sup)), len(sup), q)
+        at = {w: p for p, w in enumerate(sup)}
+        shift = x[:, [at[u] for u in shifted]] + q - 1 - x[:, [at[e] for e in shift_vars]]
+        vals = np.hstack([shift, x[:, [at[w] for w in plain + carried]]])
         sups.append(sup)
-        tabs.append(tuple(tab))
+        tabs.append(tuple(vals.min(axis=1, initial=q - 1).tolist()))
     for e in i_d + i_h:
         u = e[0]
         sups.append((u,))
@@ -481,30 +462,18 @@ def vanish_reduction_fn(g, v, h, q):
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
 
-    def y(val):
-        return min(val, 1)
-
     sups = []
     tabs = []
     for u in range(g.n):
         sup = g.in_neighbors(u)
+        nonzero = _kernels._digits(np.arange(q ** len(sup)), len(sup), q) != 0
         if u == v:
-            def value(env):
-                return 1 if any(y(env[i]) for i in sup) else 0
+            tab = nonzero.any(axis=1)
         else:
-            pool = set(sup) - {v}
-            p = {a for a in pool if (compact[a], compact[u]) in h.arcs}
-            qq = pool - p
-
-            def value(env, p=p, qq=qq):
-                conj = all(y(env[x]) for x in p)
-                disj = y(env[v]) == 1 or any(y(env[x]) == 0 for x in qq)
-                return 1 if (conj and disj) else 0
-
-        tab = [
-            value(dict(zip(sup, assign)))
-            for assign in itertools.product(range(q), repeat=len(sup))
-        ]
+            pool = [a for a in sup if a != v]
+            p = [sup.index(a) for a in pool if (compact[a], compact[u]) in h.arcs]
+            qq = [sup.index(a) for a in pool if (compact[a], compact[u]) not in h.arcs]
+            tab = nonzero[:, p].all(1) & (nonzero[:, sup.index(v)] | ~nonzero[:, qq].all(1))
         sups.append(sup)
-        tabs.append(tuple(tab))
+        tabs.append(tuple(tab.astype(np.int64).tolist()))
     return CodingFunction(g.n, q, tuple(sups), tuple(tabs))

@@ -264,7 +264,7 @@ def loopfull_witness(g_loopless, q, limit=IDS_LIMIT):
     check_bound("witness table rows", rows, WITNESS_ROW_CAP, "guesslab.guessing.WITNESS_ROW_CAP")
     tabs = []
     for v, sup in enumerate(sups):
-        tab = np.arange(q ** len(sup)) // q ** (len(sup) - 1 - sup.index(v)) % q
+        tab = _kernels._digits(np.arange(q ** len(sup)), len(sup), q)[:, sup.index(v)]
         if len(sup) > 1:
             tab[0] = 1 % q  # row 0 is the all-zero assignment
         tabs.append(tuple(tab.tolist()))

@@ -107,8 +107,10 @@ def count_fixed_linear(f):
 
     Prime q gives q**(n - rank) with the dimension; composite q counts the
     fixed points of the tabulated function under the state cap, with dim None.
+    q whose elimination overflows int64 is refused before primality is tested.
     """
     n, q = f.n, f.q
+    _kernels._narrowest_dtype(q)  # is_prime trial-divides up to sqrt(q)
     if n == 0:
         return 1, 0
     if is_prime(q):

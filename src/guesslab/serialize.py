@@ -144,7 +144,7 @@ def emit_json(obj):
     elif isinstance(obj, UnicastInstance):
         payload = {
             "pairs": [list(p) for p in obj.pairs],
-            "intermediates": sorted(obj.intermediates),
+            "intermediates": list(obj.intermediates),
             "arcs": sorted(list(a) for a in obj.arcs),
             "q": obj.q,
         }
@@ -153,26 +153,39 @@ def emit_json(obj):
     return json.dumps(payload)
 
 
+def _ints(xs):
+    """xs as a tuple of JSON integers; a float, string or boolean is refused, not truncated."""
+    xs = tuple(xs)
+    for x in xs:
+        if type(x) is not int:  # json.loads gives exact ints; True's type is bool
+            raise ParseError(f"expected an integer, got {json.dumps(x)}")
+    return xs
+
+
+def _int(x):
+    return _ints((x,))[0]
+
+
 def _from_json_payload(data):
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
         if "pairs" in data:
             return UnicastInstance(
-                pairs=tuple(tuple(p) for p in data["pairs"]),
-                intermediates=tuple(data.get("intermediates", ())),
-                arcs=frozenset(tuple(a) for a in data.get("arcs", ())),
-                q=int(data.get("q", 2)),
+                pairs=tuple(_ints(p) for p in data["pairs"]),
+                intermediates=_ints(data.get("intermediates", ())),
+                arcs=frozenset(_ints(a) for a in data.get("arcs", ())),
+                q=_int(data.get("q", 2)),
             )
         if "support" in data or "tables" in data:
             return CodingFunction(
-                n=int(data["n"]),
-                q=int(data["q"]),
-                supports=tuple(tuple(s) for s in data["support"]),
-                tables=tuple(tuple(t) for t in data["tables"]),
+                n=_int(data["n"]),
+                q=_int(data["q"]),
+                supports=tuple(_ints(s) for s in data["support"]),
+                tables=tuple(_ints(t) for t in data["tables"]),
             )
         if "n" in data:
-            arcs = [tuple(a) for a in data.get("arcs", ())]
+            arcs = [_ints(a) for a in data.get("arcs", ())]
             dedup = set()
             clean = []
             for a in arcs:
@@ -181,7 +194,7 @@ def _from_json_payload(data):
                 else:
                     dedup.add(a)
                     clean.append(a)
-            return Digraph.of(_vertex_count(int(data["n"])), clean)
+            return Digraph.of(_vertex_count(_int(data["n"])), clean)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

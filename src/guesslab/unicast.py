@@ -15,7 +15,8 @@ class UnicastInstance:
 
     Node ids must partition 0..N-1 between sources, destinations and
     intermediates; the network must be acyclic and no destination may feed
-    its own source.
+    its own source.  Intermediates are held sorted: their order carries no
+    meaning.
     """
 
     pairs: tuple
@@ -25,7 +26,7 @@ class UnicastInstance:
 
     def __post_init__(self):
         pairs = tuple((int(s), int(d)) for s, d in self.pairs)
-        inter = tuple(int(i) for i in self.intermediates)
+        inter = tuple(sorted(int(i) for i in self.intermediates))
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "intermediates", inter)
@@ -66,7 +67,7 @@ def to_guessing_digraph(inst):
     for i, (s, d) in enumerate(inst.pairs):
         relabel[s] = i
         relabel[d] = i
-    for rank, node in enumerate(sorted(inst.intermediates)):
+    for rank, node in enumerate(inst.intermediates):
         relabel[node] = k + rank
     sources = {s for s, _ in inst.pairs}
     dests = {d for _, d in inst.pairs}

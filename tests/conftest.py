@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from guesslab.coding import CodingFunction
 from guesslab.digraph import Digraph, symmetrized
+from guesslab.unicast import UnicastInstance
 
 
 def complete_graph(n):
@@ -58,6 +59,32 @@ def coding_functions(draw, min_n=1, max_n=4, max_q=3):
         sups.append(sup)
         tabs.append(tuple(tab))
     return CodingFunction(n, q, tuple(sups), tuple(tabs))
+
+
+@st.composite
+def unicast_instances(draw, max_pairs=3, max_intermediates=3):
+    """Valid instances: node ids shuffled over the roles, intermediates in any
+    order, arcs only forward along a drawn node order (so acyclic), and no
+    destination feeding its own source."""
+    k = draw(st.integers(1, max_pairs))
+    m = draw(st.integers(0, max_intermediates))
+    ids = draw(st.permutations(range(2 * k + m)))
+    pairs = tuple(zip(ids[:k], ids[k : 2 * k]))
+    order = draw(st.permutations(range(2 * k + m)))
+    forward = [
+        (u, v) for i, u in enumerate(order) for v in order[i + 1 :] if (v, u) not in pairs
+    ]
+    arcs = draw(st.sets(st.sampled_from(forward))) if forward else set()
+    return UnicastInstance(pairs, tuple(ids[2 * k :]), frozenset(arcs), draw(st.integers(2, 5)))
+
+
+def product_table(sup, q, value):
+    """The table of value(env) with env = dict(zip(sup, assignment)), over the
+    assignments in itertools.product order: an oracle for the big-endian row
+    convention that the library decodes with _kernels._digits."""
+    return tuple(
+        value(dict(zip(sup, assign))) for assign in itertools.product(range(q), repeat=len(sup))
+    )
 
 
 def random_coding_function(rng, n, q, max_indeg=3):

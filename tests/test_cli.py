@@ -204,6 +204,16 @@ def test_console_script_entry_point():
         ["construct", "K", "2", "-1"],
         ["solvable", "HUGE_DOT", "--routing"],
         ["solvable", "HUGE_JSON", "--routing"],
+        ["construct", "biclique", "3"],
+        ["construct", "clique", "2", "3"],
+        ["guess", "FLOAT_ARC", "-q", "2"],
+        ["guess", "STRING_N", "-q", "2"],
+        ["guess", "BOOL_N", "-q", "2"],
+        ["fix", "FLOAT_Q"],
+        ["fix", "FLOAT_TABLE"],
+        ["fix", "FLOAT_SUPPORT"],
+        ["convert", "FLOAT_PAIR"],
+        ["convert", "FLOAT_INTERMEDIATE"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -212,6 +222,15 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
         # one vertex id would otherwise allocate 3e9-entry adjacency lists
         "HUGE_DOT": "digraph { 3000000000; }\n",
         "HUGE_JSON": '{"n": 3000000000, "arcs": []}',
+        # JSON numbers that are not integers are refused, never truncated
+        "FLOAT_ARC": '{"n": 2, "arcs": [[0, 1.9], [1, 0]]}',
+        "STRING_N": '{"n": "2", "arcs": []}',
+        "BOOL_N": '{"n": true, "arcs": []}',
+        "FLOAT_Q": '{"n": 1, "q": 2.7, "support": [[0]], "tables": [[0, 1]]}',
+        "FLOAT_TABLE": '{"n": 1, "q": 2, "support": [[0]], "tables": [[0.5, 1]]}',
+        "FLOAT_SUPPORT": '{"n": 1, "q": 2, "support": [[0.0]], "tables": [[0, 1]]}',
+        "FLOAT_PAIR": '{"pairs": [[0, 1.0]], "intermediates": [], "arcs": [[0, 1]]}',
+        "FLOAT_INTERMEDIATE": '{"pairs": [[0, 1]], "intermediates": [2.0], "arcs": []}',
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

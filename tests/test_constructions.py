@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from guesslab.coding import count_fixed_points, fixed_points, interaction_graph
+from guesslab.coding import count_fixed_points, fixed_points, interaction_graph, min_net
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.coding import reduce_vertex as table_reduce_vertex
 from guesslab.constructions import (
@@ -26,9 +26,9 @@ from guesslab.constructions import (
 from guesslab.digraph import Digraph, reduce_set
 from guesslab.errors import PreconditionError, ResourceBoundError
 from guesslab.linear import count_fixed_linear, linear_reduce, units
-from guesslab.params import acyclic_number, min_clique_partition
+from guesslab.params import _find_short_cycle, acyclic_number, min_clique_partition
 
-from conftest import complete_graph, random_digraph
+from conftest import complete_graph, product_table, random_digraph
 
 
 def test_named_families():
@@ -305,3 +305,63 @@ def test_vanish_reduction_fn():
         assert interaction_graph(red3) == h
     with pytest.raises(PreconditionError):
         vanish_reduction_fn(Digraph.of(3, [(0, 2), (1, 2), (2, 0), (2, 1)]), 2, Digraph.of(2, []), 2)
+
+
+def test_tables_match_the_product_oracle():
+    # each builder's tables equal its definition, assignment by assignment
+    rng = random.Random(13)
+    for _ in range(100):
+        n, q = rng.randint(0, 6), rng.randint(2, 4)
+        g = random_digraph(rng, n, p=rng.random() * 0.7, loops=rng.random() < 0.3)
+        sups = [g.in_neighbors(v) for v in range(n)]
+        lowest = [product_table(s, q, lambda env: min(env.values(), default=q - 1)) for s in sups]
+        assert min_net(g, q).tables == tuple(lowest)
+        cycle = _find_short_cycle(g.out_masks(), (1 << n) - 1)
+        if cycle is None:
+            continue
+        for i, v in enumerate(cycle):
+
+            def follow(env, u=cycle[i - 1]):
+                return env[u] if all(x >= env[u] for x in env.values()) else (env[u] + 1) % q
+
+            lowest[v] = product_table(sups[v], q, follow)
+        assert unit_witness(g, q).tables == tuple(lowest)
+    for _ in range(60):
+        n, q = rng.randint(1, 4), rng.choice([2, 3])
+        d = random_digraph(rng, n, p=0.5, loops=True)
+        h = random_digraph(rng, n, p=0.5, loops=True)
+        f, added = reduction_target_fn(d, h, q)
+        sub = dict(zip(sorted(d.arcs - h.arcs) + sorted(h.arcs - d.arcs), added))
+        for j in range(n):
+            in_d, in_h = set(d.in_neighbors(j)), set(h.in_neighbors(j))
+
+            def value(env, j=j, in_d=in_d, in_h=in_h):
+                vals = [q - 1] + [env[u] + q - 1 - env[sub[(u, j)]] for u in in_d - in_h]
+                vals += [env[u] for u in in_d & in_h] + [env[sub[(w, j)]] for w in in_h - in_d]
+                return min(vals) % q
+
+            assert f.tables[j] == product_table(f.supports[j], q, value)
+    for _ in range(40):
+        n, q = rng.randint(3, 5), rng.choice([2, 3])
+        v = rng.randrange(n)
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        g = Digraph.of(n, [(a, b) for a, b in arcs if v in (a, b) or rng.random() < 0.7])
+        if any(g.in_degree(u) < 2 for u in range(n)):
+            continue
+        others = [u for u in range(n) if u != v]
+        kept = [(a, b) for a, b in sorted(g.arcs) if v not in (a, b) and rng.random() < 0.6]
+        h = Digraph.of(n - 1, [(others.index(a), others.index(b)) for a, b in kept])
+        f = vanish_reduction_fn(g, v, h, q)
+        for u in range(n):
+            if u == v:
+                tab = product_table(f.supports[u], q, lambda env: int(any(env.values())))
+            else:
+                conj = [a for a, b in kept if b == u]
+                disj = [a for a in g.in_neighbors(u) if a != v and a not in conj]
+
+                def value(env, conj=conj, disj=disj):
+                    kept_all = all(env[a] for a in conj)
+                    return int(kept_all and (env[v] != 0 or any(env[a] == 0 for a in disj)))
+
+                tab = product_table(f.supports[u], q, value)
+            assert f.tables[u] == tab

@@ -18,7 +18,7 @@ from guesslab.digraph import (
     is_compatible,
     symmetrized,
 )
-from guesslab.errors import NotAcyclicError, ResourceBoundError
+from guesslab.errors import NotAcyclicError, PreconditionError, ResourceBoundError
 from guesslab.guessing import guessing_number, is_routing_solvable
 from guesslab.linear import (
     INCONCLUSIVE,
@@ -57,6 +57,12 @@ def test_dim_fix_identity():
     ident = LinearCodingFunction(3, 5, tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3)))
     cnt, dim = count_fixed_linear(ident)
     assert cnt == 125 and dim == 3
+
+
+def test_count_fixed_linear_refuses_a_modulus_past_int64_before_testing_primality():
+    # trial division to sqrt(2**61 - 1) would take minutes
+    with pytest.raises(PreconditionError, match="fit in int64"):
+        count_fixed_linear(LinearCodingFunction(1, 2**61 - 1, ((0,),)))
 
 
 def test_dim_fix_k22_paper_solution():

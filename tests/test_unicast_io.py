@@ -15,7 +15,7 @@ from guesslab.unicast import (
     to_guessing_digraph,
 )
 
-from conftest import coding_functions, complete_graph, random_digraph
+from conftest import coding_functions, complete_graph, random_digraph, unicast_instances
 
 
 def test_butterfly_converts_to_k3():
@@ -76,6 +76,12 @@ def test_json_round_trip_examples():
 def test_json_round_trip_coding_functions(f):
     f = f.canonicalize()
     assert parse(emit_json(f)) == f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unicast_instances())
+def test_json_round_trip_unicast_instances(inst):
+    assert parse(emit_json(inst)) == inst
 
 
 def test_round_trip_fuzz_canonical():
