@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceBoundError,
-    SearchFailedError,
     VertexRangeError,
 )
 from .guessing import (

@@ -82,9 +82,9 @@ class CodingFunction:
                     raise ValueError(f"table value {val} outside alphabet")
 
     @classmethod
-    def from_state_functions(cls, n, q, fns, limit=STATE_LIMIT):
+    def from_state_functions(cls, n, q, fns):
         """Build from callables over full states; supports become essential."""
-        check_bound(f"states, {q}**{n}", q**n, limit, "CodingFunction.from_state_functions(limit=)")
+        check_bound(f"states, {q}**{n}", q**n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
         full = tuple(range(n))
         states = list(map(tuple, _kernels._digits(np.arange(q**n), n, q).tolist()))
         tables = tuple(tuple(int(fns[v](x)) % q for x in states) for v in range(n))
@@ -128,14 +128,18 @@ def _substitute(f, i, cum):
     """f_i with each input u in cum replaced by the local map cum[u].
 
     Tabulated big-endian over the sorted inputs that f_i then reads
-    essentially; f_i comes back as it is if it reads none of cum.
+    essentially; f_i comes back as it is if it reads none of cum.  The
+    q**len(inputs) rows are refused over STATE_LIMIT before any is built.
     """
     sup = f.supports[i]
     if not any(u in cum for u in sup):
         return Local(sup, f.tables[i])
     q = f.q
     inputs = sorted({w for u in sup for w in (cum[u].inputs if u in cum else (u,))})
-    digs = _kernels._digits(np.arange(q ** len(inputs)), len(inputs), q)
+    rows = q ** len(inputs)
+    check_bound(f"substituted rows, {q}**{len(inputs)}", rows, STATE_LIMIT,
+                "guesslab.coding.STATE_LIMIT")
+    digs = _kernels._digits(np.arange(rows), len(inputs), q)
     vals = np.empty((len(digs), len(sup)), dtype=np.int64)  # column p: the value fed to sup[p]
     for p, u in enumerate(sup):
         if u in cum:
@@ -198,16 +202,16 @@ def reduce_set(f, vertices):
     return _eliminate(f, _cumulative(f, vertices))
 
 
-def fixed_points(f, limit=STATE_LIMIT):
+def fixed_points(f):
     """All states with f(x) = x, lexicographically sorted tuples."""
-    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, limit, "fixed_points(limit=)")
+    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     digs = _kernels._digits(np.nonzero(mask)[0], f.n, f.q)
     return tuple(map(tuple, digs.tolist()))
 
 
-def count_fixed_points(f, limit=STATE_LIMIT):
-    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, limit, "count_fixed_points(limit=)")
+def count_fixed_points(f):
+    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     return int(mask.sum())
 
@@ -233,9 +237,9 @@ def is_nondecreasing(f):
     )
 
 
-def mindim(f, limit=MINDIM_LIMIT):
+def mindim(f):
     """Minimum dimension over all reduced forms of f."""
-    check_bound("vertices for mindim", f.n, limit, "mindim(limit=)")
+    check_bound("vertices for mindim", f.n, MINDIM_LIMIT, "guesslab.coding.MINDIM_LIMIT")
     fix = count_fixed_points(f)
     floor = 0
     while f.q**floor < fix:

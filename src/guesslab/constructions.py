@@ -8,6 +8,7 @@ next to the oracles.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ import numpy as np
 from . import _kernels
 from .coding import CodingFunction, min_net
 from .digraph import Digraph, _compatible, _path_counts, symmetrized, topological_order
-from .errors import PreconditionError, SearchFailedError, check_bound
+from .errors import PreconditionError
 from .linear import LinearCodingFunction, is_prime
-from .params import _find_short_cycle, acyclic_number
+from .params import _find_short_cycle, _max_acyclic_set
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,8 @@ def sls_construction(g, designated):
             raise PreconditionError("an empty set is only valid for an arcless graph")
         return LinearCodingFunction(g.n, 2, tuple(tuple(0 for _ in range(g.n)) for _ in range(g.n)))
     order = topological_order(g, sub)
-    # inputs come from embed_in_sls, well past max_acyclic_set's default cap
-    if len(sub) != acyclic_number(g, limit=None):
+    # inputs come from embed_in_sls, well past max_acyclic_set's vertex bound
+    if len(sub) != len(_max_acyclic_set(g)):
         raise PreconditionError("the set is not a maximum acyclic set")
     ins, inside = g.in_masks(), sum(1 << i for i in sub)
     if not _compatible(ins, inside, order, weak=False):
@@ -307,73 +308,37 @@ def embed_in_sls(d):
     return Embedding(Digraph.of(nxt, arcs), tuple(added), True)
 
 
-def _inverse_mod(mat, q):
-    """Inverse mod a prime q of an invertible matrix, by Gauss-Jordan."""
-    k = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(mat)]
-    for c in range(k):
-        piv = next(r for r in range(c, k) if aug[r][c] % q)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = pow(aug[c][c], -1, q)
-        aug[c] = [(x * inv) % q for x in aug[c]]
-        for r in range(k):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [(x - f * y) % q for x, y in zip(aug[r], aug[c])]
-    return [row[k:] for row in aug]
-
-
-KKK_BATCH = 1 << 14
-KKK_MAX_K = 4
-
-
 def kkk_solution(k):
-    """Strict linear solution of K_{k,k} over the smallest prime >= 3k^2.
+    """Strict linear solution of K_{k,k} over the smallest prime q >= 3k^2.
 
-    Lexicographic scan over zero-free matrices; the first invertible one
-    with a zero-free inverse wins.
+    The matrix is the Cauchy matrix C[i][j] = 1 / (x_i - y_j) mod q with
+    x_i = k + i and y_j = j.  Every square submatrix of a Cauchy matrix is
+    nonsingular (Roth-Lempel), so C is invertible and C and its inverse are
+    zero-free.  The inverse is taken in closed form,
+    (C^-1)[i][j] = (-1)**(k-1) prod_t (x_j - y_t)(x_t - y_i)
+                   / ((x_j - y_i) prod_{t!=j} (x_j - x_t) prod_{t!=i} (y_i - y_t));
+    every difference lies in (-2k, 2k), so none vanishes mod q.
     """
     if k < 1:
         raise PreconditionError("need k >= 1")
-    check_bound("matrix size k for K_{k,k}", k, KKK_MAX_K, "guesslab.constructions.KKK_MAX_K")
-    q = 3 * k * k
-    while not is_prime(q):
-        q += 1
-    base = q - 1
-    total = base ** (k * k)
-    found = None
-    for start in range(0, total, KKK_BATCH):
-        codes = np.arange(start, min(start + KKK_BATCH, total), dtype=np.int64)
-        mats = (_kernels._digits(codes, k * k, base) + 1).reshape(-1, k, k)
-        good = _batch_zero_free_invertible(mats, q, k)
-        if good.size:
-            idx = int(good[0])
-            m = [[int(x) for x in row] for row in mats[idx]]
-            found = m
-            break
-    if found is None:
-        raise SearchFailedError("no zero-free matrix with zero-free inverse found")
-    minv = _inverse_mod(found, q)
+    q = _next_prime(3 * k * k - 1)
+    x, y = range(k, 2 * k), range(k)
+    cauchy = [[pow(x[i] - y[j], -1, q) for j in range(k)] for i in range(k)]
+
+    def inverse_entry(i, j):
+        num = (-1) ** (k - 1) * math.prod((x[j] - y[t]) * (x[t] - y[i]) for t in range(k))
+        den = (x[j] - y[i]) * math.prod(x[j] - x[t] for t in range(k) if t != j)
+        den *= math.prod(y[i] - y[t] for t in range(k) if t != i)
+        return num * pow(den, -1, q) % q
+
+    inverse = [[inverse_entry(i, j) for j in range(k)] for i in range(k)]
     n = 2 * k
     rows = [[0] * n for _ in range(n)]
     for j in range(k):
         for i in range(k):
-            rows[k + j][i] = found[i][j] % q
-            rows[i][k + j] = minv[j][i] % q
+            rows[k + j][i] = cauchy[i][j]
+            rows[i][k + j] = inverse[j][i]
     return LinearCodingFunction(n, q, tuple(tuple(r) for r in rows))
-
-
-def _batch_zero_free_invertible(mats, q, k):
-    """Indices of the invertible matrices mod the prime q whose inverse is
-    zero-free: full rank, and every (k-1)-minor of full rank, so every
-    cofactor is nonzero.  Entries are already zero-free."""
-    ok = _kernels.modular_ranks(mats, q) == k
-    for i in range(k):
-        for j in range(k):
-            rows = [x for x in range(k) if x != i]
-            cols = [x for x in range(k) if x != j]
-            ok &= _kernels.modular_ranks(mats[:, rows, :][:, :, cols], q) == k - 1
-    return np.nonzero(ok)[0]
 
 
 # ---------------------------------------------------------------------------

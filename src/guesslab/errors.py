@@ -19,7 +19,7 @@ class PreconditionError(GuesslabError, ValueError):
 
 class ResourceBoundError(GuesslabError):
     """Exact search would exceed its size bound: it needs `needed` against
-    `cap`, which the parameter or constant named by `knob` sets."""
+    `cap`, which the module constant named by `knob` sets."""
 
     def __init__(self, message, needed=None, cap=None, knob=None):
         super().__init__(message)
@@ -34,10 +34,6 @@ def check_bound(what, needed, bound, knob):
         raise ResourceBoundError(
             f"{what}: needs {shown}, over the cap {bound} set by {knob}", needed, bound, knob
         )
-
-
-class SearchFailedError(GuesslabError):
-    """An exhaustive or randomized search ended without a witness."""
 
 
 class ParseError(GuesslabError, ValueError):

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, params
 from ._bitset import bits, max_independent_set
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
 from .errors import PreconditionError, check_bound
-from .params import IDS_LIMIT, acyclic_number, in_dominating_counts, max_disjoint_cycles
+from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
 TABLE_CAP = 1 << 20
@@ -100,7 +100,7 @@ def _witness_from_states(g, q, chosen_codes):
     return CodingFunction(g.n, q, sups, tuple(tabs))
 
 
-def guessing_number(g, q, state_cap=STATE_CAP):
+def guessing_number(g, q):
     """Exact max |Fix(f)| over coding functions with G(f) inside g.
 
     A set of states is the fixed-point set of some such f iff no two of its
@@ -116,7 +116,7 @@ def guessing_number(g, q, state_cap=STATE_CAP):
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    check_bound(f"conflict states, {q}**{g.n}", q**g.n, state_cap, "guessing_number(state_cap=)")
+    check_bound(f"conflict states, {q}**{g.n}", q**g.n, STATE_CAP, "guesslab.guessing.STATE_CAP")
     digs = _kernels._digits(np.arange(q**g.n), g.n, q)
     clash = np.zeros(len(digs), dtype=bool)  # the difference conflicts with 0
     for v in range(g.n):
@@ -135,12 +135,12 @@ def guessing_number(g, q, state_cap=STATE_CAP):
 # strict guessing
 # ---------------------------------------------------------------------------
 
-def _essential_local_tables(q, d, cap):
+def _essential_local_tables(q, d):
     """All tables on d inputs that depend essentially on every input."""
     rows = q**d
-    # past max(64, cap bits) rows q**rows is surely over the cap: stop there
-    needed = q ** min(rows, max(64, cap.bit_length() + 1))
-    check_bound(f"local tables on {d} inputs", needed, cap, "strict_guessing_number(table_cap=)")
+    # past max(64, TABLE_CAP bits) rows q**rows is surely over it: stop there
+    needed = q ** min(rows, max(64, TABLE_CAP.bit_length() + 1))
+    check_bound(f"local tables on {d} inputs", needed, TABLE_CAP, "guesslab.guessing.TABLE_CAP")
     return [
         flat
         for flat in itertools.product(range(q), repeat=rows)
@@ -169,7 +169,7 @@ def _fix_masks(g, q, v, tables):
     return masks
 
 
-def strict_guessing_number(g, q, table_cap=TABLE_CAP, combo_cap=COMBO_CAP):
+def strict_guessing_number(g, q):
     """Exact max |Fix(f)| over f whose interaction graph equals g.
 
     Loop-full graphs take the closed-form route (in-dominating-set sum)
@@ -183,14 +183,14 @@ def strict_guessing_number(g, q, table_cap=TABLE_CAP, combo_cap=COMBO_CAP):
         count = _ids_fixed_count(core, q)
         witness = loopfull_witness(core, q)
         return GuessingReport(g, q, "h-loops-formula", count, witness, "ids-sum")
-    best, tables = _strict_exhaustive(g, q, table_cap, combo_cap)
+    best, tables = _strict_exhaustive(g, q)
     witness = CodingFunction(
         g.n, q, tuple(g.in_neighbors(v) for v in range(g.n)), tuple(tables)
     )
     return GuessingReport(g, q, "h", best, witness, "exhaustive")
 
 
-def _strict_exhaustive(g, q, table_cap, combo_cap):
+def _strict_exhaustive(g, q):
     if g.n == 0:
         return 1, ()
     states = q**g.n
@@ -200,18 +200,18 @@ def _strict_exhaustive(g, q, table_cap, combo_cap):
     state_cap_sets = 1 << states if states <= 30 else None
     prev = 1
     work = 0  # state tests, plus 64-bit words ANDed
-    knob = "strict_guessing_number(combo_cap=)"
+    knob = "guesslab.guessing.COMBO_CAP"
     per_vertex = []
     for v in range(g.n):
-        tables = _essential_local_tables(q, g.in_degree(v), table_cap)
+        tables = _essential_local_tables(q, g.in_degree(v))
         work += len(tables) * states  # each table is tested on every state
-        check_bound("strict enumeration work", work, combo_cap, knob)
+        check_bound("strict enumeration work", work, COMBO_CAP, knob)
         masks = {}
         for t, m in zip(tables, _fix_masks(g, q, v, tables)):
             masks.setdefault(m, t)
         per_vertex.append(masks)
         work += prev * len(masks) * words  # one states-bit AND per combination
-        check_bound("strict enumeration work", work, combo_cap, knob)
+        check_bound("strict enumeration work", work, COMBO_CAP, knob)
         prev *= len(masks)
         if state_cap_sets is not None:
             prev = min(prev, state_cap_sets)
@@ -248,7 +248,7 @@ def h_loops(g_loopless, q):
     return GuessingReport(add_loops(g_loopless), q, "h-loops-formula", count, None, "ids-sum")
 
 
-def loopfull_witness(g_loopless, q, limit=IDS_LIMIT):
+def loopfull_witness(g_loopless, q):
     """The coding function on the loop-full closure whose fixed points are
     exactly the states with in-dominating nonzero support.
 
@@ -257,8 +257,8 @@ def loopfull_witness(g_loopless, q, limit=IDS_LIMIT):
     """
     if not g_loopless.is_loopless():
         raise PreconditionError("loopfull_witness expects the loopless core")
-    check_bound("vertices for the witness", g_loopless.n, limit, "loopfull_witness(limit=)")
     n = g_loopless.n
+    check_bound("vertices for the witness", n, params.IDS_LIMIT, "guesslab.params.IDS_LIMIT")
     sups = tuple(tuple(sorted({v, *g_loopless.in_neighbors(v)})) for v in range(n))
     rows = sum(q ** len(sup) for sup in sups)
     check_bound("witness table rows", rows, WITNESS_ROW_CAP, "guesslab.guessing.WITNESS_ROW_CAP")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .coding import STATE_LIMIT, CodingFunction, count_fixed_points
+from . import _kernels, coding
+from .coding import CodingFunction, count_fixed_points
 from ._bitset import bits, subset_masks
 from .digraph import Digraph, _compatible, _peel, topological_order
 from .errors import PreconditionError, check_bound
@@ -121,7 +121,7 @@ def count_fixed_linear(f):
             m[0, i, i] = (m[0, i, i] - 1) % q
         rank = int(_kernels.modular_ranks(m, q)[0])
         return q ** (n - rank), n - rank
-    check_bound(f"states, {q}**{n}", q**n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    check_bound(f"states, {q}**{n}", q**n, coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     return count_fixed_points(f.to_coding_function()), None
 
 
@@ -176,7 +176,7 @@ def _coefficient_function(vals, arcs, n, q):
     return LinearCodingFunction(n, q, rows)
 
 
-def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
+def linear_guessing(g, q, mode="g"):
     """Exact max fixed-point count over coefficient matrices on g.
 
     mode "g": each arc carries 0 or a unit (interaction graph inside g);
@@ -186,7 +186,7 @@ def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
     the pattern's greedy spanning forest.  The witness is the first
     maximiser in (pattern, free units) order, patterns ascending with the
     first sorted arc as the most significant bit.  The gauge-fixed count
-    (times q**n states for composite q) is refused over search_cap before
+    (times q**n states for composite q) is refused over SEARCH_CAP before
     any rank is taken; mode "g" checks its 2**arcs patterns first.
     """
     if q < 2:
@@ -198,9 +198,9 @@ def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
     m, n = len(arcs), g.n
     phi = _unit_count(q)  # sizes the unit alphabet without listing it
     prime = phi == q - 1
-    knob = "linear_guessing(search_cap=)"
+    knob = "guesslab.linear.SEARCH_CAP"
     patterns = 1 << m if mode == "g" else 1
-    check_bound(f"coefficient patterns, 2**{m}", patterns, search_cap, knob)
+    check_bound(f"coefficient patterns, 2**{m}", patterns, SEARCH_CAP, knob)
     # a single block of patterns is labelled once, for both the count and the scan
     kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
     hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
@@ -209,7 +209,7 @@ def linear_guessing(g, q, mode="g", search_cap=SEARCH_CAP):
     # composite q enumerates all q**n states of every matrix
     what, needed = ("gauge-fixed coefficient matrices", total) if prime else (
         "gauge-fixed matrix states", total * q**n)
-    check_bound(what, needed, search_cap, knob)
+    check_bound(what, needed, SEARCH_CAP, knob)
     # list the units only if some arc is free: a forest at a huge prime q needs none
     unit = np.array(units(q) if total > patterns else (1,), dtype=dt)
     tails, heads = np.array(arcs, dtype=np.intp).reshape(m, 2).T
@@ -270,13 +270,14 @@ class Certificate:
     witness: frozenset | None = None
 
 
-def weak_compat_certificate(g, limit=CERTIFICATE_LIMIT):
+def weak_compat_certificate(g):
     """Search every maximum acyclic set for a weak-compatibility violation.
 
     A violating set proves h_L(G, q) < k(G) for every q; otherwise the
     check is inconclusive.
     """
-    check_bound("vertices for the certificate", g.n, limit, "weak_compat_certificate(limit=)")
+    check_bound("vertices for the certificate", g.n, CERTIFICATE_LIMIT,
+                "guesslab.linear.CERTIFICATE_LIMIT")
     alpha_sets = subset_masks(g.n, acyclic_number(g))
     hit = _weak_violation(g.in_masks(), alpha_sets)
     if hit is None:

@@ -1,9 +1,9 @@
 """Exact combinatorial parameters of small digraphs.
 
 Everything here is exact branch-and-bound or exhaustive search.  Each
-search refuses a graph over its one vertex bound `limit`, by default a
-module constant below, before it starts; functions built on the searches
-take no bound of their own.
+search refuses a graph over its one vertex bound, a module constant below
+read when the search is called, before it starts; functions built on the
+searches take no bound of their own.
 """
 
 from __future__ import annotations
@@ -80,9 +80,14 @@ def _find_short_cycle(out_masks, mask):
     return best
 
 
-def max_acyclic_set(g, limit=ALPHA_LIMIT):
+def max_acyclic_set(g):
     """A maximum acyclic vertex set, as a frozenset."""
-    check_bound("vertices for a max acyclic set", g.n, limit, "max_acyclic_set(limit=)")
+    check_bound("vertices for a max acyclic set", g.n, ALPHA_LIMIT, "guesslab.params.ALPHA_LIMIT")
+    return _max_acyclic_set(g)
+
+
+def _max_acyclic_set(g):
+    """max_acyclic_set with no vertex bound."""
     universe = sum(1 << v for v in range(g.n) if not g.has_loop(v))
     if g.is_undirected():
         return frozenset(bits(max_independent_set(_sym_adj(g), g.n, universe)))
@@ -123,23 +128,23 @@ def max_acyclic_set(g, limit=ALPHA_LIMIT):
     return frozenset(bits(best))
 
 
-def acyclic_number(g, limit=ALPHA_LIMIT):
-    return len(max_acyclic_set(g, limit))
+def acyclic_number(g):
+    return len(max_acyclic_set(g))
 
 
-def feedback_number(g, limit=ALPHA_LIMIT):
+def feedback_number(g):
     """k(G), the minimum feedback vertex set size."""
-    return g.n - acyclic_number(g, limit)
+    return g.n - acyclic_number(g)
 
 
-def all_max_acyclic_sets(g, limit=CYCLE_LIMIT, alpha=None):
+def all_max_acyclic_sets(g):
     """Every maximum acyclic set; the minimum feedback vertex sets are the
     complements."""
-    check_bound("vertices for all max acyclic sets", g.n, limit, "all_max_acyclic_sets(limit=)")
-    if alpha is None:
-        alpha = acyclic_number(g)
+    check_bound("vertices for all max acyclic sets", g.n, CYCLE_LIMIT,
+                "guesslab.params.CYCLE_LIMIT")
     ins = g.in_masks()
-    return [frozenset(bits(m)) for m in subset_masks(g.n, alpha) if _peel(ins, m) is not None]
+    alpha_sets = subset_masks(g.n, acyclic_number(g))
+    return [frozenset(bits(m)) for m in alpha_sets if _peel(ins, m) is not None]
 
 
 def min_feedback_vertex_sets(g):
@@ -176,9 +181,10 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v):
     return cycles
 
 
-def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
+def max_disjoint_cycles(g):
     """(count, cycles): a maximum family of vertex-disjoint directed cycles."""
-    check_bound("vertices for disjoint cycle packing", g.n, limit, "max_disjoint_cycles(limit=)")
+    check_bound("vertices for disjoint cycle packing", g.n, CYCLE_LIMIT,
+                "guesslab.params.CYCLE_LIMIT")
     in_masks = g.in_masks()
     out_masks = g.out_masks()
     memo = {}
@@ -205,9 +211,9 @@ def max_disjoint_cycles(g, limit=CYCLE_LIMIT):
     return rec((1 << g.n) - 1)
 
 
-def max_matching(g, limit=MATCHING_LIMIT):
+def max_matching(g):
     """Maximum matching size over the symmetric (undirected) edges."""
-    check_bound("vertices for max matching", g.n, limit, "max_matching(limit=)")
+    check_bound("vertices for max matching", g.n, MATCHING_LIMIT, "guesslab.params.MATCHING_LIMIT")
     adj = _sym_adj(g)
     memo = {}
 
@@ -230,13 +236,14 @@ def max_matching(g, limit=MATCHING_LIMIT):
     return rec((1 << g.n) - 1)
 
 
-def min_clique_partition(g, limit=PARTITION_LIMIT):
+def min_clique_partition(g):
     """Minimum number of cliques (bidirectional complete sets) covering V.
 
     Exhaustive partition search: branch over the maximal cliques containing
     the lowest uncovered vertex, pruned by |uncovered| / omega.
     """
-    check_bound("vertices for clique partition", g.n, limit, "min_clique_partition(limit=)")
+    check_bound("vertices for clique partition", g.n, PARTITION_LIMIT,
+                "guesslab.params.PARTITION_LIMIT")
     if g.n == 0:
         return 0
     adj = _sym_adj(g)
@@ -326,22 +333,23 @@ def _edge_clique_cover(g, budget):
     return rec(adj, budget)
 
 
-def is_edge_full(g, limit=PARTITION_LIMIT):
+def is_edge_full(g):
     """Can alpha(G) - isolated cliques cover every edge?  Implies undirected.
 
     A clique holds at most one vertex of an independent set, so no cover is
     smaller.  On undirected graphs this holds iff some (then every) maximum
     independent set is strongly compatible.
     """
-    check_bound("vertices for edge cover by cliques", g.n, limit, "is_edge_full(limit=)")
+    check_bound("vertices for edge cover by cliques", g.n, PARTITION_LIMIT,
+                "guesslab.params.PARTITION_LIMIT")
     if not g.is_undirected() or not g.is_loopless():
         return False
     return _edge_clique_cover(g, acyclic_number(g) - isolated_count(g)) is not None
 
 
-def in_dominating_counts(g, limit=IDS_LIMIT):
+def in_dominating_counts(g):
     """counts[k] = number of in-dominating sets of size k.  Loopless only."""
-    check_bound("vertices for in-dominating sets", g.n, limit, "in_dominating_counts(limit=)")
+    check_bound("vertices for in-dominating sets", g.n, IDS_LIMIT, "guesslab.params.IDS_LIMIT")
     if not g.is_loopless():
         raise PreconditionError("in-dominating sets are defined for loopless graphs")
     in_masks = g.in_masks()
@@ -356,7 +364,7 @@ def count_in_dominating_sets(g, k):
     return counts[k]
 
 
-def min_intersection_model(g, budget, limit=MODEL_LIMIT):
+def min_intersection_model(g, budget):
     """An intersection model over a ground set of size `budget`, or None.
 
     Vertices get subsets X_v of range(budget) with u ~ v iff X_u and X_v
@@ -364,7 +372,8 @@ def min_intersection_model(g, budget, limit=MODEL_LIMIT):
     gives the model X_v = {i : v in C_i}, and every model arises this way
     (Erdos-Goodman-Posa); isolated vertices get the empty set.
     """
-    check_bound("vertices for an intersection model", g.n, limit, "min_intersection_model(limit=)")
+    check_bound("vertices for an intersection model", g.n, MODEL_LIMIT,
+                "guesslab.params.MODEL_LIMIT")
     if not g.is_undirected() or not g.is_loopless():
         raise PreconditionError("intersection models need an undirected loopless graph")
     if budget < 0:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from guesslab import params
 from guesslab._bitset import bits
 from guesslab.coding import (
     CodingFunction,
@@ -43,8 +44,6 @@ from guesslab.digraph import reduce_sequence as graph_reduce_sequence
 from guesslab.digraph import reduce_set as graph_reduce_set
 from guesslab.digraph import reduce_vertex as graph_reduce_vertex
 from guesslab.guessing import (
-    COMBO_CAP,
-    TABLE_CAP,
     _strict_exhaustive,
     guessing_number,
     h_loops,
@@ -180,7 +179,7 @@ def test_criterion_03_loopfull_formula_cross_validation():
             for arcs in itertools.combinations(pairs, r):
                 g = Digraph.of(3, arcs)
                 # the enumeration itself: loop-full graphs take the formula route
-                brute, _ = _strict_exhaustive(add_loops(g), 2, TABLE_CAP, COMBO_CAP)
+                brute, _ = _strict_exhaustive(add_loops(g), 2)
                 assert brute == h_loops(g, 2).max_fix
 
         def ids_sum(g, q):
@@ -233,7 +232,7 @@ def test_criterion_05_gk_family():
 def test_criterion_06_triangle_free_classification():
     with criterion(6, "triangle-free linear solvability boundary"):
         for n, cycle in ((5, undirected_cycle(5)), (7, undirected_cycle(7))):
-            k = feedback_number(cycle, limit=cycle.n)
+            k = feedback_number(cycle)
             for q in (2, 3):
                 assert linear_guessing(cycle, q, "g").max_fix == q ** (k - 1)
 
@@ -320,7 +319,9 @@ def test_criterion_07_nondecreasing_vs_routing():
         assert best_c5 < 2 ** feedback_number(c5)
 
 
-def test_criterion_08_strongly_compatible_pipeline():
+def test_criterion_08_strongly_compatible_pipeline(monkeypatch):
+    # embeddings reach 3 + 6 * 4 + 3 = 30 vertices, past the default bound
+    monkeypatch.setattr(params, "ALPHA_LIMIT", 30)
     with criterion(8, "strongly compatible construction pipeline"):
         fig6 = fig6_graph()
         f = sls_construction(fig6, (0, 1))
@@ -338,7 +339,7 @@ def test_criterion_08_strongly_compatible_pipeline():
                     g, designated = emb.graph, emb.designated
                     fg = sls_construction(g, designated)
                     assert fg.support_graph() == g
-                    k = g.n - acyclic_number(g, limit=g.n)
+                    k = g.n - acyclic_number(g)
                     assert count_fixed_linear(fg)[0] == fg.q**k
                     red, _ = linear_reduce(fg, designated)
                     assert all(

@@ -9,16 +9,38 @@ import random
 import pytest
 
 import guesslab
-from guesslab import guessing, linear
-from guesslab.constructions import gk_family, named
+from guesslab import _kernels, coding, guessing, linear
 from guesslab.cli import main
+from guesslab.coding import CodingFunction, min_net, mindim, reduce_vertex
+from guesslab.constructions import clebsch_graph, clique_solution, gk_family, named
 from guesslab.digraph import Digraph
 from guesslab.errors import ResourceBoundError, check_bound
-from guesslab.guessing import is_routing_solvable, routing_witness
-from guesslab.params import ALPHA_LIMIT, MATCHING_LIMIT, max_matching
+from guesslab.guessing import (
+    guessing_number,
+    h_loops,
+    is_routing_solvable,
+    loopfull_witness,
+    routing_witness,
+    strict_guessing_number,
+)
+from guesslab.linear import (
+    count_fixed_linear,
+    linear_guessing,
+    prove_not_linearly_solvable,
+    weak_compat_certificate,
+)
+from guesslab.params import (
+    ALPHA_LIMIT,
+    MATCHING_LIMIT,
+    GraphParams,
+    acyclic_number,
+    graph_params,
+    intersection_number,
+    max_matching,
+)
 from guesslab.serialize import emit_dot
 
-from conftest import complete_graph, random_digraph
+from conftest import complete_graph, directed_cycle, random_digraph, undirected_cycle
 
 
 def test_check_bound_names_quantity_size_cap_and_knob():
@@ -109,7 +131,7 @@ def test_prover_refuses_too_many_vertex_sets():
     with pytest.raises(ResourceBoundError) as exc:
         linear.prove_not_linearly_solvable(Digraph.of(22, cycles))
     assert exc.value.needed == 22 > exc.value.cap == ALPHA_LIMIT
-    assert exc.value.knob == "max_acyclic_set(limit=)"
+    assert exc.value.knob == "guesslab.params.ALPHA_LIMIT"
 
 
 def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
@@ -120,10 +142,33 @@ def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
     assert "guesslab.linear.PROVER_WORK_CAP" in capsys.readouterr().err
 
 
+def _check_bound_knobs(tree):
+    """(knob, bound) of each check_bound call in a module's functions: the
+    knob is a string literal or the function's local `knob`, and the bound
+    is the source of the expression passed as the cap."""
+    fns = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    fns += [m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
+            if isinstance(m, ast.FunctionDef)]
+    for fn in fns:
+        local = {
+            t.id: n.value.value
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_bound":
+                arg = node.args[3]
+                knob = local[arg.id] if isinstance(arg, ast.Name) else arg.value
+                yield knob, ast.unparse(node.args[2])
+
+
 def test_knob_inventory():
-    # every bound a caller can set: a new one shows up here as a diff
+    # every bound a caller can set: a new one shows up here as a diff, and
+    # every refusal names one of them and reads it when it runs
     src = pathlib.Path(guesslab.__file__).parent
-    knobs = set()
+    knobs, named = set(), set()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -141,46 +186,92 @@ def test_knob_inventory():
                     for a in args
                     if "limit" in a.arg or "cap" in a.arg
                 )
+        for knob, bound in _check_bound_knobs(tree):
+            assert knob.startswith("guesslab."), knob
+            module, name = knob.removeprefix("guesslab.").split(".")
+            # the module constant itself, never a parameter or a copy of it
+            assert bound == (name if module == path.stem else f"{module}.{name}"), (knob, bound)
+            named.add(f"{module}.{name}")
     assert knobs == KNOBS
+    assert named == KNOBS
+    assert sorted(row[0] for row in KNOB_CALLS) == sorted(KNOBS)  # one row per knob
 
 
 KNOBS = {
     "coding.STATE_LIMIT",
     "coding.MINDIM_LIMIT",
-    "coding.from_state_functions(limit=)",
-    "coding.fixed_points(limit=)",
-    "coding.count_fixed_points(limit=)",
-    "coding.mindim(limit=)",
     "guessing.COMBO_CAP",
     "guessing.STATE_CAP",
     "guessing.TABLE_CAP",
     "guessing.WITNESS_ROW_CAP",
-    "guessing.guessing_number(state_cap=)",
-    "guessing.strict_guessing_number(combo_cap=)",
-    "guessing.strict_guessing_number(table_cap=)",
-    "guessing.loopfull_witness(limit=)",
     "linear.PROVER_WORK_CAP",
     "linear.SEARCH_CAP",
     "linear.CERTIFICATE_LIMIT",
-    "linear.linear_guessing(search_cap=)",
-    "linear.weak_compat_certificate(limit=)",
     "params.ALPHA_LIMIT",
     "params.CYCLE_LIMIT",
     "params.PARTITION_LIMIT",
     "params.IDS_LIMIT",
     "params.MODEL_LIMIT",
     "params.MATCHING_LIMIT",
-    "params.max_acyclic_set(limit=)",
-    "params.acyclic_number(limit=)",
-    "params.feedback_number(limit=)",
-    "params.all_max_acyclic_sets(limit=)",
-    "params.max_disjoint_cycles(limit=)",
-    "params.max_matching(limit=)",
-    "params.min_clique_partition(limit=)",
-    "params.is_edge_full(limit=)",
-    "params.in_dominating_counts(limit=)",
-    "params.min_intersection_model(limit=)",
 }
+
+CLEBSCH_PARAMS = GraphParams(k=11, alpha=5, c=8, mu=8, cp=8, isolated=0)
+
+
+# knob, what one call needs of it, the call, other knobs it needs raised,
+# and what the call returns
+KNOB_CALLS = [
+    ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), {}, (64, None)),
+    ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), {}, 1),
+    ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, {}, 2),
+    ("guessing.TABLE_CAP", 4, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
+    ("guessing.COMBO_CAP", 62, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
+    ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, {}, 3),
+    ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, {}, 2),
+    ("linear.PROVER_WORK_CAP", 127, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
+     {}, linear.NOT_LINEARLY_SOLVABLE),
+    ("linear.CERTIFICATE_LIMIT", 5, lambda: weak_compat_certificate(gk_family(3)).verdict,
+     {}, linear.NOT_STRICTLY_LINEARLY_SOLVABLE),
+    ("params.ALPHA_LIMIT", 5, lambda: acyclic_number(directed_cycle(5)), {}, 4),
+    ("params.CYCLE_LIMIT", 16, lambda: graph_params(clebsch_graph()),
+     {"params.PARTITION_LIMIT": 16}, CLEBSCH_PARAMS),
+    ("params.PARTITION_LIMIT", 16, lambda: graph_params(clebsch_graph()),
+     {"params.CYCLE_LIMIT": 16}, CLEBSCH_PARAMS),
+    ("params.IDS_LIMIT", 5, lambda: h_loops(directed_cycle(5), 2).max_fix, {}, 11),
+    ("params.MODEL_LIMIT", 5, lambda: intersection_number(undirected_cycle(5)), {}, 5),
+    ("params.MATCHING_LIMIT", 4, lambda: max_matching(complete_graph(4)), {}, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "knob, need, call, others, want", KNOB_CALLS, ids=[row[0] for row in KNOB_CALLS]
+)
+def test_each_knob_raises_its_bound(monkeypatch, knob, need, call, others, want):
+    for other, value in others.items():
+        monkeypatch.setattr(f"guesslab.{other}", value)
+    monkeypatch.setattr(f"guesslab.{knob}", need - 1)
+    with pytest.raises(ResourceBoundError) as exc:
+        call()
+    assert (exc.value.needed, exc.value.cap, exc.value.knob) == (need, need - 1, f"guesslab.{knob}")
+    monkeypatch.setattr(f"guesslab.{knob}", need)
+    assert call() == want
+
+
+def test_substitution_refuses_before_decoding(monkeypatch):
+    # vertex 26 is the parity of 0..12 and vertex 27 the parity of 13..26:
+    # eliminating 26 would tabulate vertex 27 on 2**26 rows
+    def decoded(*_):
+        raise AssertionError("rows decoded")
+
+    parity = [tuple(bin(r).count("1") % 2 for r in range(2**d)) for d in (13, 14)]
+    f = CodingFunction(
+        28, 2, ((),) * 26 + (tuple(range(13)), tuple(range(13, 27))), ((0,),) * 26 + tuple(parity)
+    )
+    monkeypatch.setattr(_kernels, "_digits", decoded)
+    with pytest.raises(ResourceBoundError) as exc:
+        reduce_vertex(f, 26)
+    assert exc.value.needed == 2**26 > exc.value.cap == coding.STATE_LIMIT
+    assert exc.value.knob == "guesslab.coding.STATE_LIMIT"
 
 
 def test_loopfull_witness_refuses_by_table_rows():

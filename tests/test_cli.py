@@ -178,7 +178,7 @@ def test_resource_bound_exit(capsys, monkeypatch):
     assert code == 3
     # one line naming the quantity, what it needs, the cap and the knob
     assert err.count("\n") == 1 and "states" in err and "8192" in err and "4096" in err
-    assert "guessing_number(state_cap=)" in err
+    assert "guesslab.guessing.STATE_CAP" in err
 
 
 def test_console_script_entry_point():

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from guesslab import coding
 from guesslab.coding import (
     CodingFunction,
     count_fixed_points,
@@ -132,13 +133,16 @@ def test_identity_fixes_every_state_in_order():
     assert count_fixed_points(f) == 81
 
 
-def test_fixed_points_cap():
+def test_fixed_points_cap(monkeypatch):
     f = min_net(Digraph.of(6, []), 2)
     for limit in (8, 16):
+        monkeypatch.setattr(coding, "STATE_LIMIT", limit)
         with pytest.raises(ResourceBoundError) as exc:
-            fixed_points(f, limit=limit)
-        assert exc.value.needed == 64 > exc.value.cap == limit and exc.value.knob
-    assert len(fixed_points(f, limit=64)) == 1
+            fixed_points(f)
+        assert exc.value.needed == 64 > exc.value.cap == limit
+        assert exc.value.knob == "guesslab.coding.STATE_LIMIT"
+    monkeypatch.setattr(coding, "STATE_LIMIT", 64)
+    assert len(fixed_points(f)) == 1
 
 
 def test_reduction_preserves_fixed_points():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from guesslab import params
 from guesslab.coding import count_fixed_points, fixed_points, interaction_graph, min_net
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.coding import reduce_vertex as table_reduce_vertex
@@ -24,8 +25,8 @@ from guesslab.constructions import (
     vanish_reduction_fn,
 )
 from guesslab.digraph import Digraph, reduce_set
-from guesslab.errors import PreconditionError, ResourceBoundError
-from guesslab.linear import count_fixed_linear, linear_reduce, units
+from guesslab.errors import PreconditionError
+from guesslab.linear import count_fixed_linear, is_prime, linear_reduce, units
 from guesslab.params import _find_short_cycle, acyclic_number, min_clique_partition
 
 from conftest import complete_graph, product_table, random_digraph
@@ -66,7 +67,7 @@ def test_grotzsch():
     comp = Digraph.of(
         11, [(u, v) for u in range(11) for v in range(11) if u != v and v not in adj[u]]
     )
-    assert min_clique_partition(comp, limit=11) == 4
+    assert min_clique_partition(comp) == 4
 
 
 def test_clebsch():
@@ -145,9 +146,11 @@ def test_embed_acyclic_inputs_come_back_unchanged():
     assert emb2.graph == e3 and not emb2.extended
 
 
-def test_embed_pipeline_all_small_digraphs():
+def test_embed_pipeline_all_small_digraphs(monkeypatch):
     # every loopless digraph on <= 3 vertices embeds into a strictly
-    # linearly solvable graph via its designated acyclic set
+    # linearly solvable graph via its designated acyclic set; the largest
+    # embedding, of 6 arcs on 3 vertices, has 3 + 6 * 4 + 3 = 30 vertices
+    monkeypatch.setattr(params, "ALPHA_LIMIT", 30)
     for n in range(1, 4):
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         for r in range(len(pairs) + 1):
@@ -161,7 +164,7 @@ def test_embed_pipeline_all_small_digraphs():
                 assert induced == d.arcs  # d is an induced subgraph
                 f = sls_construction(g, designated)
                 assert f.support_graph() == g
-                k = g.n - acyclic_number(g, limit=g.n)
+                k = g.n - acyclic_number(g)
                 assert count_fixed_linear(f)[0] == f.q**k
                 red, _ = linear_reduce(f, designated)
                 assert all(
@@ -188,11 +191,22 @@ def test_kkk_solutions():
     assert f3.q == 29
     assert count_fixed_linear(f3)[0] == 29**3
     assert f3.support_graph() == named("K", 3, 3).graph
-    with pytest.raises(ResourceBoundError) as exc:
-        kkk_solution(5)
-    assert exc.value.needed == 5 > exc.value.cap == 4 and exc.value.knob
     with pytest.raises(PreconditionError):
         kkk_solution(0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_kkk_solution_is_a_zero_free_inverse_pair(k):
+    f = kkk_solution(k)
+    q = f.q
+    assert q >= 3 * k * k and is_prime(q) and not any(is_prime(p) for p in range(3 * k * k, q))
+    m = [[f.rows[k + j][i] for j in range(k)] for i in range(k)]
+    minv = [[f.rows[i][k + j] for i in range(k)] for j in range(k)]
+    assert all(x != 0 for row in m + minv for x in row)
+    prod = [[sum(m[i][t] * minv[t][j] for t in range(k)) % q for j in range(k)] for i in range(k)]
+    assert prod == [[int(i == j) for j in range(k)] for i in range(k)]
+    assert f.support_graph() == named("K", k, k).graph
+    assert count_fixed_linear(f) == (q**k, k)
 
 
 def test_gk_family_fig4():

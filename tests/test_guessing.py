@@ -14,8 +14,6 @@ from guesslab.coding import CodingFunction, count_fixed_points, interaction_grap
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
 from guesslab.guessing import (
-    COMBO_CAP,
-    TABLE_CAP,
     _strict_exhaustive,
     guessing_number,
     h_loops,
@@ -219,7 +217,7 @@ def test_strict_exhaustive_agrees_with_formula_n3_q2():
     for r in range(len(pairs) + 1):
         for arcs in itertools.combinations(pairs, r):
             g = Digraph.of(3, arcs)
-            brute, _ = _strict_exhaustive(add_loops(g), 2, TABLE_CAP, COMBO_CAP)
+            brute, _ = _strict_exhaustive(add_loops(g), 2)
             assert brute == h_loops(g, 2).max_fix
 
 
@@ -303,7 +301,7 @@ def test_aracena_and_robert_bounds():
 def test_essential_local_table_counts(q, d, count):
     # inclusion-exclusion over the set of inputs a table may ignore
     oracle = sum((-1) ** j * math.comb(d, j) * q ** (q ** (d - j)) for j in range(d + 1))
-    tables = guessing._essential_local_tables(q, d, 1 << 20)
+    tables = guessing._essential_local_tables(q, d)
     assert len(tables) == oracle == count
     assert len(set(tables)) == count
 
@@ -324,7 +322,7 @@ def test_strict_fix_masks_against_evaluate(name, blocks, monkeypatch):
     sups = tuple(g.in_neighbors(v) for v in range(g.n))
     states = list(itertools.product(range(q), repeat=g.n))  # in state-code order
     for v in range(g.n):
-        tables = guessing._essential_local_tables(q, len(sups[v]), 1 << 20)
+        tables = guessing._essential_local_tables(q, len(sups[v]))
         masks = guessing._fix_masks(g, q, v, tables)
         assert len(masks) == len(tables)
         for table, mask in zip(tables, masks):

@@ -329,7 +329,7 @@ def plain_prove(g):
     maximum acyclic sets checked by is_compatible and a drop in k found by
     testing every (alpha+1)-set, with no bound on the work."""
     arcs = g.arcs_sorted()
-    alpha = acyclic_number(g, limit=None)
+    alpha = acyclic_number(g)
 
     def weakly_compatible(h):
         return alpha == 0 or all(
@@ -394,15 +394,15 @@ def test_gk_spanning_subgraph_structure():
         g = gk_family(k, "minimal")
         jk = 2 * k - 2
         j1 = k - 1
-        kg = feedback_number(g, limit=g.n)
+        kg = feedback_number(g)
         without = Digraph.of(g.n, set(g.arcs) - {(jk, j1)})
-        assert feedback_number(without, limit=g.n) < kg or k == 2
+        assert feedback_number(without) < kg or k == 2
         arcs = [a for a in g.arcs_sorted() if a != (jk, j1)]
         rng = random.Random(k)
         for _ in range(40):
             keep = {a for a in arcs if rng.random() < 0.7} | {(jk, j1)}
             h = Digraph.of(g.n, keep)
-            if feedback_number(h, limit=g.n) != kg:
+            if feedback_number(h) != kg:
                 continue
             if k == 2:
                 continue  # the k = 2 family member is genuinely solvable

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from guesslab import params
 from guesslab.constructions import clebsch_graph, grotzsch_graph
 from guesslab.digraph import Digraph, bidirectional_union, is_compatible, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
@@ -84,8 +85,9 @@ def test_undirected_mu_equals_c():
 
 def test_alpha_limit_enforced():
     with pytest.raises(ResourceBoundError) as exc:
-        max_acyclic_set(Digraph.of(20, []), limit=16)
-    assert exc.value.needed == 20 > exc.value.cap == 16 and exc.value.knob
+        max_acyclic_set(Digraph.of(20, []))
+    assert exc.value.needed == 20 > exc.value.cap == 16
+    assert exc.value.knob == "guesslab.params.ALPHA_LIMIT"
 
 
 def test_all_max_acyclic_sets():
@@ -227,17 +229,19 @@ def test_intersection_models_match_the_plain_search():
                         assert bool(model[u] & model[v]) == ((u, v) in edges), (edges, b)
 
 
-def test_clebsch_and_union_fixture():
+def test_clebsch_and_union_fixture(monkeypatch):
     cl = clebsch_graph()
     assert cl.n == 16 and cl.is_undirected()
     assert acyclic_number(cl) == 5
     union = bidirectional_union(Digraph.of(6, []), cl)
     assert union.n == 22
-    assert acyclic_number(union, limit=22) == 6
-    assert min_clique_partition(union, limit=22) > 6
+    monkeypatch.setattr(params, "ALPHA_LIMIT", 22)
+    monkeypatch.setattr(params, "PARTITION_LIMIT", 22)
+    assert acyclic_number(union) == 6
+    assert min_clique_partition(union) > 6
 
 
-def test_grotzsch_complement_union():
+def test_grotzsch_complement_union(monkeypatch):
     gr = grotzsch_graph()
     comp = Digraph.of(
         11,
@@ -249,10 +253,11 @@ def test_grotzsch_complement_union():
         ],
     )
     assert acyclic_number(comp) == 2
-    assert min_clique_partition(comp, limit=11) == 4
+    assert min_clique_partition(comp) == 4
     union = bidirectional_union(Digraph.of(3, []), comp)
-    assert acyclic_number(union, limit=14) == 3
-    assert min_clique_partition(union, limit=14) == 4
+    monkeypatch.setattr(params, "PARTITION_LIMIT", 14)
+    assert acyclic_number(union) == 3
+    assert min_clique_partition(union) == 4
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
