@@ -7,6 +7,7 @@ proved not linearly solvable), 2 input error, 3 exact-search bound hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,13 +38,15 @@ EXIT_BOUND = 3
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
 
 
 def _load(path):
@@ -319,9 +322,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's one parser, built on first use: building costs ~25x parsing."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except GuesslabError as exc:

@@ -45,66 +45,72 @@ def emit_dot(g):
     return "\n".join(lines) + "\n"
 
 
-_TOKEN = re.compile(r"->|[{};]|\[[^\]]*\]|[A-Za-z_][A-Za-z_0-9]*|\d+")
+# Whitespace, then a token, the first character no token starts with, or the
+# end.  Vertex ids are ASCII digits only: int() would also read "٣" or "３".
+_SCAN = re.compile(r"\s*(?:(->|[{};]|\[[^\]]*\]|[A-Za-z_][A-Za-z_0-9]*|[0-9]+)|(\S)|\Z)")
+_TOKEN, _BAD = 1, 2
+
+
+def _is_vertex_id(tok):
+    return tok.isascii() and tok.isdigit()
 
 
 def _position(text, pos):
+    """(line, column) of offset pos; linear in pos, so only an error calls it."""
     line = text.count("\n", 0, pos) + 1
     col = pos - text.rfind("\n", 0, pos)
     return line, col
 
 
 def _tokenize_dot(text):
-    pos = 0
+    """[(token, offset)] in one left-to-right scan."""
     tokens = []
-    while pos < len(text):
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            break
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            line, col = _position(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        line, col = _position(text, pos)
-        tokens.append((m.group(0), line, col))
-        pos = m.end()
+    for m in _SCAN.finditer(text):
+        kind = m.lastindex
+        if kind == _TOKEN:
+            tokens.append((m.group(_TOKEN), m.start(_TOKEN)))
+        elif kind == _BAD:
+            bad = m.start(_BAD)
+            raise ParseError(f"unexpected character {text[bad]!r}", *_position(text, bad))
     return tokens
 
 
 def parse_dot(text):
     tokens = _tokenize_dot(text)
+
+    def fail(message, i):
+        # the token at i, or the last one when the text ends early
+        pos = tokens[min(i, len(tokens) - 1)][1] if tokens else 0
+        return ParseError(message, *_position(text, pos))
+
     if not tokens or tokens[0][0] != "digraph":
-        t = tokens[0] if tokens else (None, 1, 1)
-        raise ParseError("expected 'digraph'", t[1], t[2])
+        raise fail("expected 'digraph'", 0)
     i = 1
     if i < len(tokens) and tokens[i][0] not in "{":
         tok = tokens[i][0]
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             i += 1  # optional graph name
     if i >= len(tokens) or tokens[i][0] != "{":
-        t = tokens[min(i, len(tokens) - 1)]
-        raise ParseError("expected '{'", t[1], t[2])
+        raise fail("expected '{'", i)
     i += 1
     arcs = []
     seen = set()
     max_vertex = -1
     while i < len(tokens) and tokens[i][0] != "}":
-        tok, ln, cl = tokens[i]
+        tok = tokens[i][0]
         if tok.startswith("["):
             warnings.warn("attribute list ignored", SerializeWarning, stacklevel=2)
             i += 1
             continue
-        if not tok.isdigit():
-            raise ParseError(f"expected a vertex id, got {tok!r}", ln, cl)
+        if not _is_vertex_id(tok):
+            raise fail(f"expected a vertex id, got {tok!r}", i)
         u = int(tok)
         max_vertex = max(max_vertex, u)
         i += 1
         if i < len(tokens) and tokens[i][0] == "->":
             i += 1
-            if i >= len(tokens) or not tokens[i][0].isdigit():
-                t = tokens[min(i, len(tokens) - 1)]
-                raise ParseError("expected a vertex id after '->'", t[1], t[2])
+            if i >= len(tokens) or not _is_vertex_id(tokens[i][0]):
+                raise fail("expected a vertex id after '->'", i)
             v = int(tokens[i][0])
             max_vertex = max(max_vertex, v)
             i += 1
@@ -119,11 +125,9 @@ def parse_dot(text):
         if i < len(tokens) and tokens[i][0] == ";":
             i += 1
         else:
-            t = tokens[min(i, len(tokens) - 1)]
-            raise ParseError("expected ';'", t[1], t[2])
+            raise fail("expected ';'", i)
     if i >= len(tokens) or tokens[i][0] != "}":
-        t = tokens[-1]
-        raise ParseError("expected '}'", t[1], t[2])
+        raise fail("expected '}'", len(tokens) - 1)
     return Digraph.of(_vertex_count(max_vertex + 1), arcs)
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from guesslab import cli
 from guesslab.cli import main
 from guesslab.serialize import emit_dot, emit_json, parse
 from guesslab.unicast import butterfly_instance
@@ -214,6 +215,9 @@ def test_console_script_entry_point():
         ["fix", "FLOAT_SUPPORT"],
         ["convert", "FLOAT_PAIR"],
         ["convert", "FLOAT_INTERMEDIATE"],
+        ["guess", "NOT_UTF8", "-q", "2"],
+        ["guess", "ARABIC_DIGITS", "-q", "2"],
+        ["guess", "FULLWIDTH_DIGIT", "-q", "2"],
     ],
 )
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
@@ -231,9 +235,40 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
         "FLOAT_SUPPORT": '{"n": 1, "q": 2, "support": [[0.0]], "tables": [[0, 1]]}',
         "FLOAT_PAIR": '{"pairs": [[0, 1.0]], "intermediates": [], "arcs": [[0, 1]]}',
         "FLOAT_INTERMEDIATE": '{"pairs": [[0, 1]], "intermediates": [2.0], "arcs": []}',
+        "NOT_UTF8": b"digraph { 0 -> 1; }\xff\n",
+        # DOT vertex ids are ASCII digits; int() would read these as 3 and 1
+        "ARABIC_DIGITS": "digraph { \u0663 -> \u0661; }\n",
+        "FULLWIDTH_DIGIT": "digraph { \uff13 -> 1; }\n",
     }
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     code, out, err = run_cli(capsys, [str(tmp_path / a) if a in files else a for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    k3 = emit_dot(complete_graph(3))
+    code, out, _ = run_cli(
+        capsys, ["guess", "-", "-q", "2", "--strict", "--json"], stdin=k3, monkeypatch=monkeypatch
+    )
+    assert code == 0 and json.loads(out)["kind"] == "h"
+    # flags of the previous call do not leak: a plain human report of kind g
+    code, out, _ = run_cli(capsys, ["guess", "-", "-q", "2"], stdin=k3, monkeypatch=monkeypatch)
+    assert code == 0 and "kind = g" in out and not out.startswith("{")
+    # a usage error after a successful call still exits 2 through argparse
+    with pytest.raises(SystemExit) as exc:
+        main(["guess", "-"])
+    assert exc.value.code == 2 and "-q" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["solvable", "-", "-q", "2"], stdin=k3, monkeypatch=monkeypatch)
+    assert code == 0 and "True" in out
+    assert len(built) == 1
