@@ -25,8 +25,7 @@ INCONCLUSIVE = "inconclusive"
 
 SEARCH_CAP = 1 << 26
 SEARCH_BATCH = 1 << 15
-PROVER_WORK_CAP = 1 << 20  # vertex sets the prover's sweep tests
-CERTIFICATE_LIMIT = 12
+PROVER_WORK_CAP = 1 << 20  # vertex sets the prover lists, and those its sweep tests
 
 
 def units(q):
@@ -274,11 +273,13 @@ def weak_compat_certificate(g):
     """Search every maximum acyclic set for a weak-compatibility violation.
 
     A violating set proves h_L(G, q) < k(G) for every q; otherwise the
-    check is inconclusive.
+    check is inconclusive.  This is the prover's first sweep, refused over
+    PROVER_WORK_CAP sets before they are listed.
     """
-    check_bound("vertices for the certificate", g.n, CERTIFICATE_LIMIT,
-                "guesslab.linear.CERTIFICATE_LIMIT")
-    alpha_sets = subset_masks(g.n, acyclic_number(g))
+    alpha = acyclic_number(g)
+    check_bound("vertex sets listed for the certificate", math.comb(g.n, alpha), PROVER_WORK_CAP,
+                "guesslab.linear.PROVER_WORK_CAP")
+    alpha_sets = subset_masks(g.n, alpha)
     hit = _weak_violation(g.in_masks(), alpha_sets)
     if hit is None:
         return Certificate(INCONCLUSIVE)
@@ -303,14 +304,22 @@ def prove_not_linearly_solvable(g):
     is strictly linearly solvable; strict solvability forces every maximum
     acyclic set of H to be weakly compatible.  If every such H violates
     that necessary condition, no alphabet can solve G linearly.  The sweep
-    over the H is refused once it has tested PROVER_WORK_CAP vertex sets.
+    over the H is refused once it has listed or tested PROVER_WORK_CAP
+    vertex sets; the listing is counted before it is made.
     """
+    knob = "guesslab.linear.PROVER_WORK_CAP"
     arcs = g.arcs_sorted()
-    alpha = acyclic_number(g)
-    alpha_sets = subset_masks(g.n, alpha)
+    n, alpha = g.n, acyclic_number(g)
+    # the alpha-sets, the (alpha+1)-sets, and per arc those holding its ends
+    ends = [len({u, v}) for u, v in arcs]
+    listed = math.comb(n, alpha) + math.comb(n, alpha + 1) + sum(
+        math.comb(n - e, alpha + 1 - e) for e in ends if e <= alpha + 1)
+    check_bound("vertex sets listed by the prover", listed, PROVER_WORK_CAP, knob)
+    alpha_sets = subset_masks(n, alpha)
     # removing arcs is monotone, so only the (alpha+1)-sets holding both
     # ends of the removed arc can have turned acyclic
-    holding = [[m for m in subset_masks(g.n, alpha + 1) if m >> u & m >> v & 1] for u, v in arcs]
+    upper = subset_masks(n, alpha + 1)
+    holding = [[m for m in upper if m >> u & m >> v & 1] for u, v in arcs]
     work = 0
 
     def passes(ins, start):
@@ -319,8 +328,7 @@ def prove_not_linearly_solvable(g):
         nonlocal work
         hit = _weak_violation(ins, alpha_sets)
         work += len(alpha_sets) if hit is None else hit + 1
-        check_bound("vertex sets tested by the prover", work, PROVER_WORK_CAP,
-                    "guesslab.linear.PROVER_WORK_CAP")
+        check_bound("vertex sets tested by the prover", work, PROVER_WORK_CAP, knob)
         if hit is None:
             return True
         for j in range(start, len(arcs)):

@@ -154,11 +154,12 @@ def min_feedback_vertex_sets(g):
 
 def _minimal_cycles_through(out_masks, in_masks, mask, v):
     """Directed cycles through v inside mask with no shorter v-cycle inside
-    their vertex set.  Forward chords and interior arcs back to v are
-    pruned, which preserves at least one optimal packing."""
+    their vertex set, as (vertex mask, cycle) pairs.  Forward chords and
+    interior arcs back to v are pruned, which preserves at least one
+    optimal packing."""
     cycles = []
     if out_masks[v] >> v & 1:
-        return [(v,)]
+        return [(1 << v, (v,))]
 
     def walk(path, path_mask):
         last = path[-1]
@@ -167,18 +168,43 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v):
             if any(out_masks[p] >> w & 1 for p in path[:-1]):
                 continue
             if out_masks[w] >> v & 1:
-                cycles.append(tuple(path) + (w,))
+                cycles.append((path_mask | 1 << w, tuple(path) + (w,)))
                 continue
             walk(path + [w], path_mask | (1 << w))
 
     if out_masks[v] & in_masks[v] & mask & ~(1 << v):
         for w in bits(out_masks[v] & in_masks[v] & mask & ~(1 << v)):
-            cycles.append((v, w))
+            cycles.append((1 << v | 1 << w, (v, w)))
     for w in bits(out_masks[v] & mask & ~(1 << v)):
         if in_masks[v] >> w & 1:
             continue  # already recorded as a 2-cycle
         walk([v, w], (1 << v) | (1 << w))
     return cycles
+
+
+def _max_packing(n, through):
+    """(count, pieces): a largest family of vertex-disjoint pieces inside
+    range(n).  through(mask) gives a vertex v of mask and the pieces inside
+    mask through v, as (vertex mask, piece) pairs, or None if mask holds no
+    piece; each mask either leaves v out or uses one piece through it."""
+    memo = {}
+
+    def rec(mask):
+        if mask in memo:
+            return memo[mask]
+        found = through(mask)
+        best = (0, ())
+        if found is not None:
+            v, pieces = found
+            best = rec(mask & ~(1 << v))
+            for used, piece in pieces:
+                cnt, rest = rec(mask & ~used)
+                if cnt + 1 > best[0]:
+                    best = (cnt + 1, (piece,) + rest)
+        memo[mask] = best
+        return best
+
+    return rec((1 << n) - 1)
 
 
 def max_disjoint_cycles(g):
@@ -187,101 +213,82 @@ def max_disjoint_cycles(g):
                 "guesslab.params.CYCLE_LIMIT")
     in_masks = g.in_masks()
     out_masks = g.out_masks()
-    memo = {}
 
-    def rec(mask):
-        if mask in memo:
-            return memo[mask]
+    def through(mask):
         short = _find_short_cycle(out_masks, mask)
         if short is None:
-            memo[mask] = (0, ())
-            return memo[mask]
+            return None
         v = min(short)
-        best = rec(mask & ~(1 << v))
-        for cyc in _minimal_cycles_through(out_masks, in_masks, mask, v):
-            used = 0
-            for w in cyc:
-                used |= 1 << w
-            cnt, rest = rec(mask & ~used)
-            if cnt + 1 > best[0]:
-                best = (cnt + 1, (cyc,) + rest)
-        memo[mask] = best
-        return best
+        return v, _minimal_cycles_through(out_masks, in_masks, mask, v)
 
-    return rec((1 << g.n) - 1)
+    return _max_packing(g.n, through)
 
 
 def max_matching(g):
     """Maximum matching size over the symmetric (undirected) edges."""
     check_bound("vertices for max matching", g.n, MATCHING_LIMIT, "guesslab.params.MATCHING_LIMIT")
     adj = _sym_adj(g)
-    memo = {}
 
-    def rec(mask):
-        if mask in memo:
-            return memo[mask]
-        u = None
-        for x in bits(mask):
-            if adj[x] & mask:
-                u = x
-                break
-        if u is None:
-            return 0
-        best = rec(mask & ~(1 << u))
-        for w in bits(adj[u] & mask):
-            best = max(best, 1 + rec(mask & ~(1 << u) & ~(1 << w)))
-        memo[mask] = best
-        return best
+    def through(mask):
+        for u in bits(mask):
+            if adj[u] & mask:
+                return u, [(1 << u | 1 << w, (u, w)) for w in bits(adj[u] & mask)]
+        return None
 
-    return rec((1 << g.n) - 1)
+    return _max_packing(g.n, through)[0]
+
+
+def _clique_covers(g, pairs, budget):
+    """Covers of every pair {u, w} with w in pairs[u] by cliques of the
+    undirected part of g, as lists of bitmasks: the first with at most
+    `budget` cliques, each later one with fewer.  pairs[v] = 1 << v asks
+    for v itself.
+
+    Branches over the cliques through the lowest uncovered pair that are
+    maximal among the vertices still holding one: cutting a cover's clique
+    down to those vertices covers the same pairs, so the search is exact.
+    A clique holds at most omega of those vertices, which prunes; after
+    each cover found the search asks for one clique fewer.
+    """
+    adj = _sym_adj(g)
+    omega = max(max_clique(adj, g.n).bit_count(), 1)
+    cover = [1 << v for v in range(g.n) if pairs[v] and not adj[v]]  # lone vertices: a clique each
+
+    def rec(uncovered):
+        nonlocal budget
+        live = sum(1 << v for v, m in enumerate(uncovered) if m)
+        if live.bit_count() > (budget - len(cover)) * omega:
+            return
+        if not live:
+            yield cover.copy()
+            budget = len(cover) - 1
+            return
+        u = (live & -live).bit_length() - 1
+        seed = 1 << u | uncovered[u] & -uncovered[u]
+        for c in sorted(maximal_cliques_containing(adj, seed, live), key=int.bit_count, reverse=True):
+            cover.append(c)
+            yield from rec([m & ~c if c >> v & 1 else m for v, m in enumerate(uncovered)])
+            cover.pop()
+
+    return rec([m if adj[v] else 0 for v, m in enumerate(pairs)])
+
+
+def _clique_cover(g, pairs, budget):
+    """At most `budget` cliques covering the pairs, or None."""
+    return next(_clique_covers(g, pairs, budget), None)
+
+
+def _fewest_cliques(g, pairs):
+    """The size of a smallest clique cover of the pairs; every pair on its
+    own is a cover."""
+    return min(map(len, _clique_covers(g, pairs, sum(m.bit_count() for m in pairs))))
 
 
 def min_clique_partition(g):
-    """Minimum number of cliques (bidirectional complete sets) covering V.
-
-    Exhaustive partition search: branch over the maximal cliques containing
-    the lowest uncovered vertex, pruned by |uncovered| / omega.
-    """
+    """Minimum number of cliques (bidirectional complete sets) covering V."""
     check_bound("vertices for clique partition", g.n, PARTITION_LIMIT,
                 "guesslab.params.PARTITION_LIMIT")
-    if g.n == 0:
-        return 0
-    adj = _sym_adj(g)
-    full = (1 << g.n) - 1
-
-    omega = max_clique(adj, g.n).bit_count()
-    omega = max(omega, 1)
-
-    # greedy upper bound
-    best = 0
-    mask = full
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        c = 1 << v
-        cand = adj[v] & mask
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            c |= 1 << w
-            cand &= adj[w] & mask
-        mask &= ~c
-        best += 1
-
-    def rec(mask, used):
-        nonlocal best
-        if mask == 0:
-            if used < best:
-                best = used
-            return
-        if used + -(-mask.bit_count() // omega) >= best:
-            return
-        v = (mask & -mask).bit_length() - 1
-        cliques = maximal_cliques_containing(adj, 1 << v, mask)
-        cliques.sort(key=lambda c: -c.bit_count())
-        for c in cliques:
-            rec(mask & ~c, used + 1)
-
-    rec(full, 0)
-    return best
+    return _fewest_cliques(g, [1 << v for v in range(g.n)])
 
 
 def isolated_count(g):
@@ -303,34 +310,11 @@ def graph_params(g):
 
 
 def is_vertex_full(g):
-    """cp(G) == alpha(G)."""
-    return min_clique_partition(g) == acyclic_number(g)
-
-
-def _edge_clique_cover(g, budget):
-    """At most `budget` maximal cliques, as bitmasks, that cover every edge of
-    the undirected loopless g, or None.
-
-    Branches over the maximal cliques through the lowest uncovered edge.
-    Every clique of a cover lies in a maximal one, so the search is exact.
-    """
-    adj = _sym_adj(g)
-    full = (1 << g.n) - 1
-
-    def rec(uncovered, left):
-        u = next((v for v, m in enumerate(uncovered) if m), None)
-        if u is None:
-            return []
-        if left == 0:
-            return None
-        w = (uncovered[u] & -uncovered[u]).bit_length() - 1
-        for c in maximal_cliques_containing(adj, (1 << u) | (1 << w), full):
-            rest = rec([m & ~c if c >> v & 1 else m for v, m in enumerate(uncovered)], left - 1)
-            if rest is not None:
-                return [c] + rest
-        return None
-
-    return rec(adj, budget)
+    """cp(G) == alpha(G).  A clique holds at most one vertex of an acyclic
+    set, so cp >= alpha, and equality holds iff alpha cliques cover V."""
+    check_bound("vertices for clique partition", g.n, PARTITION_LIMIT,
+                "guesslab.params.PARTITION_LIMIT")
+    return _clique_cover(g, [1 << v for v in range(g.n)], acyclic_number(g)) is not None
 
 
 def is_edge_full(g):
@@ -344,7 +328,7 @@ def is_edge_full(g):
                 "guesslab.params.PARTITION_LIMIT")
     if not g.is_undirected() or not g.is_loopless():
         return False
-    return _edge_clique_cover(g, acyclic_number(g) - isolated_count(g)) is not None
+    return _clique_cover(g, _sym_adj(g), acyclic_number(g) - isolated_count(g)) is not None
 
 
 def in_dominating_counts(g):
@@ -364,6 +348,13 @@ def count_in_dominating_sets(g, k):
     return counts[k]
 
 
+def _check_model_graph(g):
+    check_bound("vertices for an intersection model", g.n, MODEL_LIMIT,
+                "guesslab.params.MODEL_LIMIT")
+    if not g.is_undirected() or not g.is_loopless():
+        raise PreconditionError("intersection models need an undirected loopless graph")
+
+
 def min_intersection_model(g, budget):
     """An intersection model over a ground set of size `budget`, or None.
 
@@ -372,13 +363,8 @@ def min_intersection_model(g, budget):
     gives the model X_v = {i : v in C_i}, and every model arises this way
     (Erdos-Goodman-Posa); isolated vertices get the empty set.
     """
-    check_bound("vertices for an intersection model", g.n, MODEL_LIMIT,
-                "guesslab.params.MODEL_LIMIT")
-    if not g.is_undirected() or not g.is_loopless():
-        raise PreconditionError("intersection models need an undirected loopless graph")
-    if budget < 0:
-        return None
-    cover = _edge_clique_cover(g, budget)
+    _check_model_graph(g)
+    cover = _clique_cover(g, _sym_adj(g), budget)
     if cover is None:
         return None
     return tuple(frozenset(i for i, c in enumerate(cover) if c >> v & 1) for v in range(g.n))
@@ -386,8 +372,6 @@ def min_intersection_model(g, budget):
 
 def intersection_number(g):
     """Smallest ground-set size admitting an intersection model: the edge
-    clique cover number.  A cover by single edges always exists."""
-    budget = 0
-    while min_intersection_model(g, budget) is None:
-        budget += 1
-    return budget
+    clique cover number."""
+    _check_model_graph(g)
+    return _fewest_cliques(g, _sym_adj(g))

@@ -3,13 +3,15 @@ the work, with an error naming the quantity, the size, the cap and the knob.
 The prover's work bound is the exception: it is checked as the sweep runs."""
 
 import ast
+import math
 import pathlib
 import random
 
 import pytest
 
 import guesslab
-from guesslab import _kernels, coding, guessing, linear
+from guesslab import _kernels, coding, guessing, linear, params
+from guesslab._bitset import subset_masks
 from guesslab.cli import main
 from guesslab.coding import CodingFunction, min_net, mindim, reduce_vertex
 from guesslab.constructions import clebsch_graph, clique_solution, gk_family, named
@@ -134,6 +136,49 @@ def test_prover_refuses_too_many_vertex_sets():
     assert exc.value.knob == "guesslab.params.ALPHA_LIMIT"
 
 
+@pytest.mark.parametrize("search", [prove_not_linearly_solvable, weak_compat_certificate])
+def test_prover_and_certificate_refuse_before_listing(monkeypatch, search):
+    # 12 disjoint 2-cycles: alpha = 12, and C(24, 12) = 2,704,156 sets of 12
+    # vertices pass the work bound, so nothing may be listed
+    def listed(*_):
+        raise AssertionError("vertex sets listed")
+
+    monkeypatch.setattr(params, "ALPHA_LIMIT", 24)
+    monkeypatch.setattr(linear, "subset_masks", listed)
+    cycles = [(2 * i, 2 * i + 1) for i in range(12)] + [(2 * i + 1, 2 * i) for i in range(12)]
+    with pytest.raises(ResourceBoundError) as exc:
+        search(Digraph.of(24, cycles))
+    assert exc.value.needed >= math.comb(24, 12) > exc.value.cap == linear.PROVER_WORK_CAP
+    assert exc.value.knob == "guesslab.linear.PROVER_WORK_CAP"
+
+
+def test_prover_lists_what_it_counts(monkeypatch):
+    # the sets the prover lists are exactly the ones its bound counts first
+    lengths = []
+
+    def counted(n, size):
+        lengths.append(math.comb(n, size))
+        return subset_masks(n, size)
+
+    monkeypatch.setattr(linear, "subset_masks", counted)
+    cap = linear.PROVER_WORK_CAP
+    # the last graph has alpha = 0, so no 1-set holds both ends of its arc (0, 1)
+    graphs = [gk_family(3), gk_family(4, "minimal"), complete_graph(4), Digraph.of(3, [(0, 0), (1, 2)]),
+              Digraph.of(2, [(0, 0), (1, 1), (0, 1)])]
+    for g in graphs:
+        lengths.clear()
+        alpha = acyclic_number(g)
+        monkeypatch.setattr(linear, "PROVER_WORK_CAP", 0)
+        with pytest.raises(ResourceBoundError) as exc:
+            prove_not_linearly_solvable(g)
+        holding = sum(1 for m in subset_masks(g.n, alpha + 1) for u, v in g.arcs if m >> u & m >> v & 1)
+        assert exc.value.needed == math.comb(g.n, alpha) + math.comb(g.n, alpha + 1) + holding
+        assert lengths == []
+        monkeypatch.setattr(linear, "PROVER_WORK_CAP", cap)
+        prove_not_linearly_solvable(g)
+        assert lengths == [math.comb(g.n, alpha), math.comb(g.n, alpha + 1)]
+
+
 def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(linear, "PROVER_WORK_CAP", 1000)
     path = tmp_path / "gk4.dot"
@@ -206,7 +251,6 @@ KNOBS = {
     "guessing.WITNESS_ROW_CAP",
     "linear.PROVER_WORK_CAP",
     "linear.SEARCH_CAP",
-    "linear.CERTIFICATE_LIMIT",
     "params.ALPHA_LIMIT",
     "params.CYCLE_LIMIT",
     "params.PARTITION_LIMIT",
@@ -230,8 +274,6 @@ KNOB_CALLS = [
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, {}, 2),
     ("linear.PROVER_WORK_CAP", 127, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
      {}, linear.NOT_LINEARLY_SOLVABLE),
-    ("linear.CERTIFICATE_LIMIT", 5, lambda: weak_compat_certificate(gk_family(3)).verdict,
-     {}, linear.NOT_STRICTLY_LINEARLY_SOLVABLE),
     ("params.ALPHA_LIMIT", 5, lambda: acyclic_number(directed_cycle(5)), {}, 4),
     ("params.CYCLE_LIMIT", 16, lambda: graph_params(clebsch_graph()),
      {"params.PARTITION_LIMIT": 16}, CLEBSCH_PARAMS),

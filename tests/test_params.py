@@ -6,11 +6,13 @@ from hypothesis import given, settings
 
 from guesslab import params
 from guesslab.constructions import clebsch_graph, grotzsch_graph
-from guesslab.digraph import Digraph, bidirectional_union, is_compatible, symmetrized
+from guesslab._bitset import bits, max_clique, maximal_cliques_containing
+from guesslab.digraph import Digraph, bidirectional_union, is_compatible, strip_loops, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError
 from guesslab.linear import INCONCLUSIVE, NOT_STRICTLY_LINEARLY_SOLVABLE, weak_compat_certificate
 from guesslab.params import (
     _find_short_cycle,
+    _minimal_cycles_through,
     acyclic_number,
     all_max_acyclic_sets,
     count_in_dominating_sets,
@@ -227,6 +229,159 @@ def test_intersection_models_match_the_plain_search():
                     assert all(x < b for xs in model for x in xs)
                     for u, v in pairs:
                         assert bool(model[u] & model[v]) == ((u, v) in edges), (edges, b)
+
+
+def _undirected_adj(g):
+    return [sum(1 << u for u in range(g.n) if u != v and g.has_arc(u, v) and g.has_arc(v, u))
+            for v in range(g.n)]
+
+
+def plain_clique_partition(g):
+    """Reference clique partition: branch and bound over the maximal cliques
+    containing the lowest uncovered vertex, from a greedy cover, pruned by
+    |uncovered| / omega."""
+    if g.n == 0:
+        return 0
+    adj = _undirected_adj(g)
+    omega = max(max_clique(adj, g.n).bit_count(), 1)
+    best = 0
+    mask = (1 << g.n) - 1
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        c = 1 << v
+        cand = adj[v] & mask
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            c |= 1 << w
+            cand &= adj[w] & mask
+        mask &= ~c
+        best += 1
+
+    def rec(mask, used):
+        nonlocal best
+        if mask == 0:
+            best = min(best, used)
+            return
+        if used + -(-mask.bit_count() // omega) >= best:
+            return
+        v = (mask & -mask).bit_length() - 1
+        for c in sorted(maximal_cliques_containing(adj, 1 << v, mask), key=lambda c: -c.bit_count()):
+            rec(mask & ~c, used + 1)
+
+    rec((1 << g.n) - 1, 0)
+    return best
+
+
+def plain_max_matching(g):
+    """Reference matching: memoised over vertex sets, the lowest vertex with
+    a neighbour is left out or matched to one."""
+    adj = _undirected_adj(g)
+    memo = {}
+
+    def rec(mask):
+        if mask in memo:
+            return memo[mask]
+        u = None
+        for x in bits(mask):
+            if adj[x] & mask:
+                u = x
+                break
+        if u is None:
+            return 0
+        best = rec(mask & ~(1 << u))
+        for w in bits(adj[u] & mask):
+            best = max(best, 1 + rec(mask & ~(1 << u) & ~(1 << w)))
+        memo[mask] = best
+        return best
+
+    return rec((1 << g.n) - 1)
+
+
+def plain_disjoint_cycles(g):
+    """Reference cycle packing: memoised over vertex sets, the lowest vertex
+    of a shortest cycle is left out or covered by one of its minimal cycles;
+    a later cycle replaces the best only if it packs strictly more."""
+    ins, outs = g.in_masks(), g.out_masks()
+    memo = {}
+
+    def rec(mask):
+        if mask not in memo:
+            short = _find_short_cycle(outs, mask)
+            best = (0, ())
+            if short is not None:
+                v = min(short)
+                best = rec(mask & ~(1 << v))
+                for _, cyc in _minimal_cycles_through(outs, ins, mask, v):
+                    cnt, rest = rec(mask & ~sum(1 << w for w in cyc))
+                    if cnt + 1 > best[0]:
+                        best = (cnt + 1, (cyc,) + rest)
+            memo[mask] = best
+        return memo[mask]
+
+    return rec((1 << g.n) - 1)
+
+
+def cover_sizes(g, pairs, budget):
+    """Sizes of the covers _clique_covers yields, after checking that each
+    has at most `budget` cliques, fewer than the one before, and covers
+    every asked pair with cliques of the undirected part."""
+    adj = _undirected_adj(g)
+    sizes = []
+    for cover in params._clique_covers(g, pairs, budget):
+        assert len(cover) <= min([budget] + [s - 1 for s in sizes])
+        for c in cover:
+            assert all(c & ~(1 << v) & ~adj[v] == 0 for v in range(g.n) if c >> v & 1)
+        for u, m in enumerate(pairs):
+            assert all(any(c >> u & c >> w & 1 for c in cover) for w in range(g.n) if m >> w & 1)
+        sizes.append(len(cover))
+    return sizes
+
+
+def check_covers_and_packings(g, covers=True):
+    """cp, vertex-fullness, matching and cycle packing against the oracles
+    and, on undirected loopless graphs, edge-fullness against the
+    intersection number (against the covers past MODEL_LIMIT).  With
+    covers, also every cover the search yields, and the intersection number
+    against the plain model search."""
+    vertices = [1 << v for v in range(g.n)]
+    alpha = acyclic_number(g)
+    cp = plain_clique_partition(g)
+    assert min_clique_partition(g) == cp
+    assert is_vertex_full(g) == (cp == alpha)
+    assert max_matching(g) == plain_max_matching(g)
+    assert max_disjoint_cycles(g) == plain_disjoint_cycles(g)
+    if covers:
+        assert min(cover_sizes(g, vertices, g.n)) == cp
+        assert bool(cover_sizes(g, vertices, alpha)) == (cp == alpha)
+    if not (g.is_undirected() and g.is_loopless()):
+        assert not is_edge_full(g)
+        return
+    budget = alpha - len(g.isolated_vertices())
+    edges = _undirected_adj(g)
+    if g.n > params.MODEL_LIMIT:
+        assert is_edge_full(g) == bool(cover_sizes(g, edges, budget))
+        return
+    theta = intersection_number(g)
+    assert is_edge_full(g) == (theta <= budget)
+    if covers:
+        assert min(cover_sizes(g, edges, len(g.arcs))) == theta
+        assert bool(cover_sizes(g, edges, budget)) == (theta <= budget)
+        assert plain_intersection_model(g, theta) and not plain_intersection_model(g, theta - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_cover_and_packing_searches_match_their_oracles(g):
+    check_covers_and_packings(g)
+    check_covers_and_packings(strip_loops(symmetrized(g)))
+
+
+def test_cover_and_packing_searches_on_every_small_graph():
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            check_covers_and_packings(Digraph.of(n, edges + [(v, u) for u, v in edges]), n <= 5)
 
 
 def test_clebsch_and_union_fixture(monkeypatch):
