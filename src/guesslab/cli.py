@@ -7,6 +7,7 @@ proved not linearly solvable), 2 input error, 3 exact-search bound hit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -16,10 +17,10 @@ from .coding import reduce_sequence as reduce_fn_sequence
 from .digraph import Digraph, is_compatible, reduce_sequence, symmetrized
 from .errors import GuesslabError, ParseError, PreconditionError, ResourceBoundError
 from .guessing import (
+    _solvability,
     guessing_number,
     h_loops,
     is_routing_solvable,
-    is_solvable,
     strict_guessing_number,
 )
 from .linear import (
@@ -27,7 +28,6 @@ from .linear import (
     linear_guessing,
     prove_not_linearly_solvable,
 )
-from .params import acyclic_number
 from .serialize import emit_dot, emit_json, parse
 from .unicast import UnicastInstance, to_guessing_digraph
 
@@ -129,6 +129,7 @@ def _cmd_guess(args):
         "max_fix": report.max_fix,
         "value": report.value,
         "method": report.method,
+        "stats": dataclasses.asdict(report.stats) if report.stats else None,
     }
     _report(
         args,
@@ -200,10 +201,10 @@ def _cmd_solvable(args):
         if not ok:
             negative = True
     if args.q is not None:
-        ok = is_solvable(g, args.q)
+        ok, k = _solvability(g, args.q)
         payload["solvable"] = ok
         payload["q"] = args.q
-        payload["k"] = g.n - acyclic_number(g)
+        payload["k"] = k
         lines.append(f"solvable over q={args.q}: {ok}")
         if not ok:
             negative = True

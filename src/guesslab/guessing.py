@@ -13,16 +13,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, params
-from ._bitset import bits, max_independent_set
+from ._bitset import _complement, bits, clique_search
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
 from .errors import PreconditionError, check_bound
-from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
+from .params import acyclic_number, feedback_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
+NODE_CAP = 1 << 20  # clique-search nodes, over all components
 TABLE_CAP = 1 << 20
 COMBO_CAP = 1 << 22
 WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """What an exact search did.
+
+    nodes counts the search nodes expanded, and orbit_pruned the root
+    candidates dropped as images of searched ones under a symmetry.
+    closed_by is "sandwich" (the bounds met, nothing searched), "stop-rule"
+    (the incumbent reached the upper bound) or "exhausted".  c and k give
+    the bounds q**c <= answer <= q**k, or are None when not computed.
+    """
+
+    method: str
+    nodes: int = 0
+    orbit_pruned: int = 0
+    closed_by: str = "exhausted"
+    c: int | None = None
+    k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -31,7 +51,8 @@ class GuessingReport:
 
     kind is "g" (interaction graph contained in G), "h" (equal to G), or
     "h-loops-formula" (strict value of a loop-full graph via the
-    in-dominating-set sum).  max_fix is the exact count.
+    in-dominating-set sum).  max_fix is the exact count.  stats records what
+    the search for kind "g" did; the strict routes leave it None.
     """
 
     graph: Digraph
@@ -40,6 +61,7 @@ class GuessingReport:
     max_fix: int
     witness: CodingFunction | None = None
     method: str = ""
+    stats: SearchStats | None = None
 
     @property
     def value(self):
@@ -100,6 +122,20 @@ def _witness_from_states(g, q, chosen_codes):
     return CodingFunction(g.n, q, sups, tuple(tabs))
 
 
+def _root_orbits(digs, q):
+    """orbits[i]: the states of digs with the support of state i, or None at
+    q = 2.  Permuting the nonzero symbols of each coordinate keeps every
+    conflict and fixes state 0; its orbits are the support patterns, and at
+    q = 2 they are single states."""
+    if q == 2:
+        return None
+    supports = ((digs != 0) @ (1 << np.arange(digs.shape[1]))).tolist()
+    classes = {}
+    for i, support in enumerate(supports):
+        classes[support] = classes.get(support, 0) | 1 << i
+    return [classes[support] for support in supports]
+
+
 def guessing_number(g, q):
     """Exact max |Fix(f)| over coding functions with G(f) inside g.
 
@@ -113,22 +149,61 @@ def guessing_number(g, q):
     states that do not conflict with 0, where x and y conflict iff x - y
     conflicts with 0.  That set is searched one connected component at a
     time; the witness extends the chosen partial tables by zero.
+
+    The answer lies between q**c, which routing along c disjoint cycles
+    attains, and q**k, the feedback bound.  When c = k that is the answer
+    (`method` "routing-sandwich", no search).  Otherwise each component
+    starts from the routing fixed points inside it, and the search stops
+    once 1 plus the components' incumbents reaches q**k.  For q >= 3, once
+    the root of a component has branched on a state, the states with its
+    support leave that root (see _root_orbits).  The bounds are computed
+    when g is within params.CYCLE_LIMIT and params.ALPHA_LIMIT.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
     check_bound(f"conflict states, {q}**{g.n}", q**g.n, STATE_CAP, "guesslab.guessing.STATE_CAP")
+    c = k = None
+    cycles = ()
+    if g.n <= min(params.CYCLE_LIMIT, params.ALPHA_LIMIT):
+        k = g.n - acyclic_number(g)
+        c, cycles = max_disjoint_cycles(g)
+    if c is not None and c == k:
+        stats = SearchStats("routing-sandwich", closed_by="sandwich", c=c, k=k)
+        return GuessingReport(g, q, "g", q**k, _routing(g, q, cycles), stats.method, stats)
     digs = _kernels._digits(np.arange(q**g.n), g.n, q)
     clash = np.zeros(len(digs), dtype=bool)  # the difference conflicts with 0
     for v in range(g.n):
         clash |= (digs[:, v] != 0) & ~digs[:, list(g.in_neighbors(v))].any(axis=1)
     universe = np.flatnonzero(~clash)[1:]  # code 0 is state 0 itself
     adj = _conflict_rows(digs[universe], q, clash)
-    sol = 0  # the union of one maximum independent set per component
-    for comp in _components(adj, (1 << len(universe)) - 1):
-        sol |= max_independent_set(adj, len(universe), comp)
-    chosen = [0] + universe[list(bits(sol))].tolist()
+    orbits = _root_orbits(digs[universe], q)
+    # the routing fixed points: constant on each cycle, 0 elsewhere
+    weights = np.array([sum(q ** (g.n - 1 - v) for v in cyc) for cyc in cycles], dtype=np.int64)
+    codes = _kernels._digits(np.arange(q ** len(cycles)), len(cycles), q) @ weights
+    seed = sum(1 << int(i) for i in np.searchsorted(universe, codes[1:]))
+    comps = list(_components(adj, (1 << len(universe)) - 1))
+    found = [seed & comp for comp in comps]  # solved: exact; unsolved: seeded
+    total = seed.bit_count()
+    nodes = pruned = 0
+    closed = "exhausted"
+    for i, comp in enumerate(comps):
+        target = None if k is None else q**k - 1 - (total - found[i].bit_count())
+        sol, spent, dropped = clique_search(
+            _complement(adj, comp), comp, found[i], target, orbits, NODE_CAP - nodes
+        )
+        nodes += spent
+        pruned += dropped
+        check_bound("clique-search nodes", nodes, NODE_CAP, "guesslab.guessing.NODE_CAP")
+        total += sol.bit_count() - found[i].bit_count()
+        found[i] = sol
+        if k is not None and total + 1 >= q**k:
+            # no component can do better: the unsearched ones keep their seeds
+            closed = "stop-rule"
+            break
+    chosen = [0] + universe[list(bits(sum(found)))].tolist()
     witness = _witness_from_states(g, q, chosen)
-    return GuessingReport(g, q, "g", len(chosen), witness, "conflict-graph-state-0-fixed")
+    stats = SearchStats("conflict-graph-state-0-fixed", nodes, pruned, closed, c, k)
+    return GuessingReport(g, q, "g", len(chosen), witness, stats.method, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +352,14 @@ def loopfull_witness(g_loopless, q):
 
 def is_solvable(g, q):
     """g(G, q) reaches the feedback bound q**k(G)."""
+    return _solvability(g, q)[0]
+
+
+def _solvability(g, q):
+    """(is_solvable(g, q), k(G)), with k read from the search's bounds."""
     report = guessing_number(g, q)
-    return report.max_fix == q ** (g.n - acyclic_number(g))
+    k = feedback_number(g) if report.stats.k is None else report.stats.k
+    return report.max_fix == q**k, k
 
 
 def is_routing_solvable(g):
@@ -293,7 +374,11 @@ def routing_witness(g, q):
     Cycle vertices copy their predecessor, everything else is constant 0;
     the fixed points are the states constant on each cycle and 0 elsewhere.
     """
-    _, cycles = max_disjoint_cycles(g)
+    return _routing(g, q, max_disjoint_cycles(g)[1])
+
+
+def _routing(g, q, cycles):
+    """routing_witness along the given vertex-disjoint cycles."""
     pred = {}
     for cyc in cycles:
         for i, v in enumerate(cyc):

@@ -213,12 +213,18 @@ def max_disjoint_cycles(g):
                 "guesslab.params.CYCLE_LIMIT")
     in_masks = g.in_masks()
     out_masks = g.out_masks()
+    undirected = g.is_undirected()
 
     def through(mask):
-        short = _find_short_cycle(out_masks, mask)
-        if short is None:
+        if undirected:
+            # a loop or an edge is a cycle: the lowest such vertex is the
+            # lowest vertex of the shortest cycle _find_short_cycle returns
+            v = next((v for v in bits(mask) if out_masks[v] & mask), None)
+        else:
+            short = _find_short_cycle(out_masks, mask)
+            v = None if short is None else min(short)
+        if v is None:
             return None
-        v = min(short)
         return v, _minimal_cycles_through(out_masks, in_masks, mask, v)
 
     return _max_packing(g.n, through)

@@ -246,6 +246,7 @@ KNOBS = {
     "coding.STATE_LIMIT",
     "coding.MINDIM_LIMIT",
     "guessing.COMBO_CAP",
+    "guessing.NODE_CAP",
     "guessing.STATE_CAP",
     "guessing.TABLE_CAP",
     "guessing.WITNESS_ROW_CAP",
@@ -268,6 +269,8 @@ KNOB_CALLS = [
     ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), {}, (64, None)),
     ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), {}, 1),
     ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, {}, 2),
+    # c = 3 < k = 4 and gn = 10: the search runs to the end
+    ("guessing.NODE_CAP", 23273, lambda: guessing_number(gk_family(4), 2).max_fix, {}, 10),
     ("guessing.TABLE_CAP", 4, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
     ("guessing.COMBO_CAP", 62, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
     ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, {}, 3),
@@ -297,6 +300,15 @@ def test_each_knob_raises_its_bound(monkeypatch, knob, need, call, others, want)
     assert (exc.value.needed, exc.value.cap, exc.value.knob) == (need, need - 1, f"guesslab.{knob}")
     monkeypatch.setattr(f"guesslab.{knob}", need)
     assert call() == want
+
+
+def test_guessing_past_the_cycle_cap_skips_the_bounds(monkeypatch):
+    # 13 vertices: the sandwich's c and k would be refused, so they are not
+    # computed, and raising the state cap alone is enough
+    monkeypatch.setattr(guessing, "STATE_CAP", 2**13)
+    rep = guessing_number(Digraph.of(13, []), 2)
+    assert rep.max_fix == 1 and (rep.stats.c, rep.stats.k) == (None, None)
+    assert guessing.is_solvable(Digraph.of(13, []), 2)  # k = 0 from the acyclic number
 
 
 def test_substitution_refuses_before_decoding(monkeypatch):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from guesslab import cli
+from guesslab import cli, params
 from guesslab.cli import main
 from guesslab.serialize import emit_dot, emit_json, parse
 from guesslab.unicast import butterfly_instance
@@ -38,6 +38,21 @@ def test_guess_json_report(capsys, monkeypatch, tmp_path):
     data = json.loads(out)
     assert code == 0 and data["max_fix"] == 4 and data["value"] == pytest.approx(2.0)
     assert data["method"] == "conflict-graph-state-0-fixed"
+    # c = 1 < k = 2: the search runs, and stops when it reaches q**k
+    assert data["stats"] == {"method": "conflict-graph-state-0-fixed", "nodes": 0, "orbit_pruned": 0,
+                             "closed_by": "stop-rule", "c": 1, "k": 2}
+    assert data["max_fix"] == 2 ** data["stats"]["k"]
+
+
+def test_guess_json_sandwich(capsys, tmp_path):
+    # C12u: c = k = 6, so routing decides it without a search
+    path = tmp_path / "c12.dot"
+    path.write_text(emit_dot(undirected_cycle(12)))
+    code, out, _ = run_cli(capsys, ["guess", str(path), "-q", "2", "--json"])
+    data = json.loads(out)
+    assert code == 0 and data["max_fix"] == 64 and data["method"] == "routing-sandwich"
+    assert data["stats"] == {"method": "routing-sandwich", "nodes": 0, "orbit_pruned": 0,
+                             "closed_by": "sandwich", "c": 6, "k": 6}
 
 
 def test_guess_missing_file(capsys):
@@ -62,6 +77,17 @@ def test_solvable_positive(capsys, monkeypatch):
         capsys, ["solvable", "-", "-q", "2"], stdin=emit_dot(complete_graph(3)), monkeypatch=monkeypatch
     )
     assert code == 0 and "True" in out
+
+
+def test_solvable_takes_k_from_the_search(capsys, monkeypatch):
+    calls = []
+    original = params.max_acyclic_set
+    monkeypatch.setattr(params, "max_acyclic_set", lambda g: calls.append(g) or original(g))
+    code, out, _ = run_cli(
+        capsys, ["solvable", "-", "-q", "2", "--json"], stdin=emit_dot(complete_graph(3)), monkeypatch=monkeypatch
+    )
+    assert code == 0 and json.loads(out) == {"solvable": True, "q": 2, "k": 2}
+    assert len(calls) == 1
 
 
 def test_solvable_routing_negative(capsys, monkeypatch):

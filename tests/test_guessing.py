@@ -28,6 +28,11 @@ from guesslab.params import acyclic_number, feedback_number
 
 from conftest import complete_graph, digraphs, random_digraph, undirected_cycle
 
+# 729 states at q = 3, which an unbudgeted clique search ran on for over
+# 200 s; c = k = 3, so gn = 27
+HANG_ARCS = [(0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 0), (2, 3), (2, 5), (3, 0), (3, 2), (3, 5),
+             (4, 1), (4, 3), (4, 4), (5, 1), (5, 2)]
+
 
 def brute_force_max_fix(g, q):
     """Independent oracle: enumerate every f with G(f) inside g.
@@ -100,6 +105,80 @@ def test_guessing_searches_components_apart():
     arcs = [(0, 1), (0, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 4), (4, 0), (4, 3)]
     g = Digraph.of(5, arcs)
     assert guessing_number(g, 3).max_fix == plain_max_fix(g, 3) == 9
+
+
+def switched(g):
+    """g plus a vertex s with a loop and an arc to every vertex: states with
+    different x_s never conflict, so the conflict graph splits into q parts,
+    and the parts with x_s != 0 are swapped by permuting the symbols at s."""
+    s = g.n
+    return Digraph.of(g.n + 1, set(g.arcs) | {(s, v) for v in range(g.n + 1)})
+
+
+def below_the_feedback_bound(q, count, seed):
+    """Seeded loopless digraphs with c < k, so the search runs, each with and
+    without a switch vertex."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_digraph(rng, rng.randint(3, {2: 6, 3: 4, 4: 3}[q]), p=0.5)
+        if not is_routing_solvable(g):
+            out += [g, switched(g)]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_search_below_the_feedback_bound_matches_the_plain_search(q):
+    # c < k throughout; at q = 2 C5u and gk3 fall short of q**k
+    extra = [complete_graph(4), switched(complete_graph(3))]
+    if q == 2:
+        extra += [undirected_cycle(5), switched(undirected_cycle(5)), gk_family(3)]
+    if q == 3:
+        # gn = 9 = q**k, and the incumbent holds q**k - 2 states before the
+        # search finds the last one: a stop rule one state early errs here
+        extra += [Digraph.of(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 0), (2, 3), (3, 0), (3, 1), (3, 2)]),
+                  Digraph.of(4, [(0, 2), (0, 3), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2)])]
+    closed = set()
+    for g in below_the_feedback_bound(q, 24, seed=q) + extra:
+        rep = guessing_number(g, q)
+        want = plain_max_fix(g, q)
+        assert rep.max_fix == want, sorted(g.arcs)
+        assert rep.stats.c < rep.stats.k and rep.method == rep.stats.method
+        # the stop rule closes the search exactly when gn meets the feedback bound
+        assert (rep.stats.closed_by == "stop-rule") == (want == q**rep.stats.k)
+        assert count_fixed_points(rep.witness) == rep.max_fix
+        assert interaction_graph(rep.witness).arcs <= g.arcs
+        closed.add(rep.stats.closed_by)
+    assert closed == ({"stop-rule", "exhausted"} if q == 2 else {"stop-rule"})
+
+
+def test_sandwich_decides_the_hang_graph():
+    g = Digraph.of(6, HANG_ARCS)
+    rep = guessing_number(g, 3)
+    assert rep.max_fix == 27 and rep.method == "routing-sandwich"
+    assert (rep.stats.nodes, rep.stats.closed_by, rep.stats.c, rep.stats.k) == (0, "sandwich", 3, 3)
+    assert count_fixed_points(rep.witness) == 27
+    assert interaction_graph(rep.witness).arcs <= g.arcs
+
+
+def test_root_orbits_cut_the_search(monkeypatch):
+    rep = guessing_number(undirected_cycle(5), 3)
+    assert rep.max_fix == 12 and rep.stats.orbit_pruned > 0
+    assert count_fixed_points(rep.witness) == 12
+    # without the orbits the search needs more nodes than it took with them
+    monkeypatch.setattr(guessing, "_root_orbits", lambda digs, q: None)
+    monkeypatch.setattr(guessing, "NODE_CAP", rep.stats.nodes)
+    with pytest.raises(ResourceBoundError) as exc:
+        guessing_number(undirected_cycle(5), 3)
+    assert exc.value.knob == "guesslab.guessing.NODE_CAP"
+
+
+def test_root_orbits_are_support_patterns():
+    digs = _kernels._digits(np.arange(27), 3, 3)
+    orbits = guessing._root_orbits(digs, 3)
+    for i, orbit in enumerate(orbits):
+        assert orbit == sum(1 << j for j in range(27) if ((digs[j] != 0) == (digs[i] != 0)).all())
+    assert guessing._root_orbits(digs, 2) is None
 
 
 @pytest.mark.parametrize("block", [1, 100])

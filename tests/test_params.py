@@ -115,6 +115,20 @@ def test_loops_count_as_cycles():
     assert c == 2
 
 
+def test_undirected_packing_returns_the_cycles_of_the_directed_scan(monkeypatch):
+    # undirected graphs pick their branching vertex without the short-cycle
+    # BFS; the directed path must still return the very same cycles
+    rng = random.Random(9)
+    graphs = []
+    for _ in range(300):
+        g = symmetrized(random_digraph(rng, rng.randint(1, 9), p=rng.choice([0.2, 0.4, 0.6])))
+        loops = [(v, v) for v in range(g.n) if rng.random() < 0.15]
+        graphs.append(Digraph.of(g.n, set(g.arcs) | set(loops)))
+    got = [max_disjoint_cycles(g) for g in graphs]
+    monkeypatch.setattr(Digraph, "is_undirected", lambda self: False)
+    assert got == [max_disjoint_cycles(g) for g in graphs]
+
+
 def test_matching():
     assert max_matching(complete_graph(4)) == 2
     assert max_matching(Digraph.of(3, [(0, 1)])) == 0  # one-way arc is no edge
