@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import check_bound
+
 
 def bits(mask):
     while mask:
@@ -101,40 +103,56 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, budget=None):
 
 
 def max_clique(adj, n, universe=None):
-    """Bitmask of a maximum clique of the graph given by adjacency bitmasks."""
-    return clique_search(adj, (1 << n) - 1 if universe is None else universe)[0]
+    """Bitmask of a maximum clique of the graph given by adjacency bitmasks,
+    refused past params.WORK_CAP search nodes, read when called."""
+    # read here, not passed in: perfbench/spans.py counts this function's
+    # work from (adj, n, universe) alone; params imports this module
+    from . import params
+
+    universe = (1 << n) - 1 if universe is None else universe
+    clique, nodes, _ = clique_search(adj, universe, budget=params.WORK_CAP)
+    check_bound("max clique search nodes", nodes, params.WORK_CAP, "guesslab.params.WORK_CAP")
+    return clique
 
 
 def max_independent_set(adj, n, universe=None):
-    """Bitmask of a maximum independent set (clique of the complement)."""
+    """Bitmask of a maximum independent set (clique of the complement), with
+    no bound on the search: a reference for checking the bounded ones."""
     if universe is None:
         universe = (1 << n) - 1
     if all(adj[v] & universe == 0 for v in bits(universe)):
         return universe
-    return max_clique(_complement(adj, universe), n, universe)
+    return clique_search(_complement(adj, universe), universe)[0]
 
 
-def maximal_cliques_containing(adj, seed_mask, allowed):
+def maximal_cliques_containing(adj, seed_mask, allowed, charge=None):
     """All maximal cliques within `allowed` that contain `seed_mask`.
 
-    Bron-Kerbosch with pivoting on the common neighbourhood of the seed.
+    Bron-Kerbosch with pivoting on the common neighbourhood of the seed,
+    depth first over an explicit stack; charge(1), if given, runs before
+    each call.
     """
+    out, frames = [], []  # frames: the open calls, as [r, p, x, branch vertices left]
+
+    def call(r, p, x):
+        if charge is not None:
+            charge(1)
+        if p | x:
+            pivot = ((p | x) & -(p | x)).bit_length() - 1
+            frames.append([r, p, x, p & ~adj[pivot]])
+        else:
+            out.append(r)
+
     p = allowed & ~seed_mask
     for v in bits(seed_mask):
         p &= adj[v]
-
-    out = []
-
-    def extend(r, p_mask, x_mask):
-        if p_mask == 0 and x_mask == 0:
-            out.append(r)
-            return
-        pool = p_mask | x_mask
-        pivot = (pool & -pool).bit_length() - 1
-        for v in bits(p_mask & ~adj[pivot]):
-            extend(r | (1 << v), p_mask & adj[v], x_mask & adj[v])
-            p_mask &= ~(1 << v)
-            x_mask |= 1 << v
-
-    extend(seed_mask, p, 0)
+    call(seed_mask, p, 0)
+    while frames:
+        r, p, x, left = frame = frames[-1]
+        if not left:
+            frames.pop()
+            continue
+        v = (left & -left).bit_length() - 1
+        frame[1:] = p & ~(1 << v), x | 1 << v, left & ~(1 << v)
+        call(r | 1 << v, p & adj[v], x & adj[v])
     return out

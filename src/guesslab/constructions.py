@@ -18,7 +18,7 @@ from .coding import CodingFunction, min_net
 from .digraph import Digraph, _compatible, _path_counts, symmetrized, topological_order
 from .errors import PreconditionError
 from .linear import LinearCodingFunction, is_prime
-from .params import _find_short_cycle, _max_acyclic_set
+from .params import _find_short_cycle, max_acyclic_set
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,7 @@ def sls_construction(g, designated):
             raise PreconditionError("an empty set is only valid for an arcless graph")
         return LinearCodingFunction(g.n, 2, tuple(tuple(0 for _ in range(g.n)) for _ in range(g.n)))
     order = topological_order(g, sub)
-    # inputs come from embed_in_sls, well past max_acyclic_set's vertex bound
-    if len(sub) != len(_max_acyclic_set(g)):
+    if len(sub) != len(max_acyclic_set(g)):
         raise PreconditionError("the set is not a maximum acyclic set")
     ins, inside = g.in_masks(), sum(1 << i for i in sub)
     if not _compatible(ins, inside, order, weak=False):

@@ -17,10 +17,9 @@ from ._bitset import _complement, bits, clique_search
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
 from .errors import PreconditionError, check_bound
-from .params import acyclic_number, feedback_number, in_dominating_counts, max_disjoint_cycles
+from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
-NODE_CAP = 1 << 20  # clique-search nodes, over all components
 TABLE_CAP = 1 << 20
 COMBO_CAP = 1 << 22
 WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
@@ -30,19 +29,19 @@ WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
 class SearchStats:
     """What an exact search did.
 
+    c and k give the bounds q**c <= answer <= q**k and are always computed.
     nodes counts the search nodes expanded, and orbit_pruned the root
     candidates dropped as images of searched ones under a symmetry.
     closed_by is "sandwich" (the bounds met, nothing searched), "stop-rule"
-    (the incumbent reached the upper bound) or "exhausted".  c and k give
-    the bounds q**c <= answer <= q**k, or are None when not computed.
+    (the incumbent reached the upper bound) or "exhausted".
     """
 
     method: str
+    c: int
+    k: int
     nodes: int = 0
     orbit_pruned: int = 0
     closed_by: str = "exhausted"
-    c: int | None = None
-    k: int | None = None
 
 
 @dataclass(frozen=True)
@@ -156,19 +155,16 @@ def guessing_number(g, q):
     starts from the routing fixed points inside it, and the search stops
     once 1 plus the components' incumbents reaches q**k.  For q >= 3, once
     the root of a component has branched on a state, the states with its
-    support leave that root (see _root_orbits).  The bounds are computed
-    when g is within params.CYCLE_LIMIT and params.ALPHA_LIMIT.
+    support leave that root (see _root_orbits).  The search nodes, over
+    all components, count against params.WORK_CAP.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
     check_bound(f"conflict states, {q}**{g.n}", q**g.n, STATE_CAP, "guesslab.guessing.STATE_CAP")
-    c = k = None
-    cycles = ()
-    if g.n <= min(params.CYCLE_LIMIT, params.ALPHA_LIMIT):
-        k = g.n - acyclic_number(g)
-        c, cycles = max_disjoint_cycles(g)
-    if c is not None and c == k:
-        stats = SearchStats("routing-sandwich", closed_by="sandwich", c=c, k=k)
+    k = g.n - acyclic_number(g)
+    c, cycles = max_disjoint_cycles(g)
+    if c == k:
+        stats = SearchStats("routing-sandwich", c, k, closed_by="sandwich")
         return GuessingReport(g, q, "g", q**k, _routing(g, q, cycles), stats.method, stats)
     digs = _kernels._digits(np.arange(q**g.n), g.n, q)
     clash = np.zeros(len(digs), dtype=bool)  # the difference conflicts with 0
@@ -187,22 +183,22 @@ def guessing_number(g, q):
     nodes = pruned = 0
     closed = "exhausted"
     for i, comp in enumerate(comps):
-        target = None if k is None else q**k - 1 - (total - found[i].bit_count())
+        target = q**k - 1 - (total - found[i].bit_count())
         sol, spent, dropped = clique_search(
-            _complement(adj, comp), comp, found[i], target, orbits, NODE_CAP - nodes
+            _complement(adj, comp), comp, found[i], target, orbits, params.WORK_CAP - nodes
         )
         nodes += spent
         pruned += dropped
-        check_bound("clique-search nodes", nodes, NODE_CAP, "guesslab.guessing.NODE_CAP")
+        check_bound("clique-search nodes", nodes, params.WORK_CAP, "guesslab.params.WORK_CAP")
         total += sol.bit_count() - found[i].bit_count()
         found[i] = sol
-        if k is not None and total + 1 >= q**k:
+        if total + 1 >= q**k:
             # no component can do better: the unsearched ones keep their seeds
             closed = "stop-rule"
             break
     chosen = [0] + universe[list(bits(sum(found)))].tolist()
     witness = _witness_from_states(g, q, chosen)
-    stats = SearchStats("conflict-graph-state-0-fixed", nodes, pruned, closed, c, k)
+    stats = SearchStats("conflict-graph-state-0-fixed", c, k, nodes, pruned, closed)
     return GuessingReport(g, q, "g", len(chosen), witness, stats.method, stats)
 
 
@@ -333,7 +329,6 @@ def loopfull_witness(g_loopless, q):
     if not g_loopless.is_loopless():
         raise PreconditionError("loopfull_witness expects the loopless core")
     n = g_loopless.n
-    check_bound("vertices for the witness", n, params.IDS_LIMIT, "guesslab.params.IDS_LIMIT")
     sups = tuple(tuple(sorted({v, *g_loopless.in_neighbors(v)})) for v in range(n))
     rows = sum(q ** len(sup) for sup in sups)
     check_bound("witness table rows", rows, WITNESS_ROW_CAP, "guesslab.guessing.WITNESS_ROW_CAP")
@@ -358,8 +353,7 @@ def is_solvable(g, q):
 def _solvability(g, q):
     """(is_solvable(g, q), k(G)), with k read from the search's bounds."""
     report = guessing_number(g, q)
-    k = feedback_number(g) if report.stats.k is None else report.stats.k
-    return report.max_fix == q**k, k
+    return report.max_fix == q**report.stats.k, report.stats.k
 
 
 def is_routing_solvable(g):

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, coding
+from . import _kernels, coding, params
 from .coding import CodingFunction, count_fixed_points
 from ._bitset import bits, subset_masks
 from .digraph import Digraph, _compatible, _peel, topological_order
 from .errors import PreconditionError, check_bound
-from .params import acyclic_number
 
 NOT_LINEARLY_SOLVABLE = "not-linearly-solvable"
 NOT_STRICTLY_LINEARLY_SOLVABLE = "not-strictly-linearly-solvable"
@@ -25,7 +24,6 @@ INCONCLUSIVE = "inconclusive"
 
 SEARCH_CAP = 1 << 26
 SEARCH_BATCH = 1 << 15
-PROVER_WORK_CAP = 1 << 20  # vertex sets the prover lists, and those its sweep tests
 
 
 def units(q):
@@ -274,11 +272,11 @@ def weak_compat_certificate(g):
 
     A violating set proves h_L(G, q) < k(G) for every q; otherwise the
     check is inconclusive.  This is the prover's first sweep, refused over
-    PROVER_WORK_CAP sets before they are listed.
+    params.WORK_CAP sets before they are listed.
     """
-    alpha = acyclic_number(g)
-    check_bound("vertex sets listed for the certificate", math.comb(g.n, alpha), PROVER_WORK_CAP,
-                "guesslab.linear.PROVER_WORK_CAP")
+    alpha = params.acyclic_number(g)
+    check_bound("vertex sets listed for the certificate", math.comb(g.n, alpha), params.WORK_CAP,
+                "guesslab.params.WORK_CAP")
     alpha_sets = subset_masks(g.n, alpha)
     hit = _weak_violation(g.in_masks(), alpha_sets)
     if hit is None:
@@ -304,17 +302,17 @@ def prove_not_linearly_solvable(g):
     is strictly linearly solvable; strict solvability forces every maximum
     acyclic set of H to be weakly compatible.  If every such H violates
     that necessary condition, no alphabet can solve G linearly.  The sweep
-    over the H is refused once it has listed or tested PROVER_WORK_CAP
+    over the H is refused once it has listed or tested params.WORK_CAP
     vertex sets; the listing is counted before it is made.
     """
-    knob = "guesslab.linear.PROVER_WORK_CAP"
+    knob = "guesslab.params.WORK_CAP"
     arcs = g.arcs_sorted()
-    n, alpha = g.n, acyclic_number(g)
+    n, alpha = g.n, params.acyclic_number(g)
     # the alpha-sets, the (alpha+1)-sets, and per arc those holding its ends
     ends = [len({u, v}) for u, v in arcs]
     listed = math.comb(n, alpha) + math.comb(n, alpha + 1) + sum(
         math.comb(n - e, alpha + 1 - e) for e in ends if e <= alpha + 1)
-    check_bound("vertex sets listed by the prover", listed, PROVER_WORK_CAP, knob)
+    check_bound("vertex sets listed by the prover", listed, params.WORK_CAP, knob)
     alpha_sets = subset_masks(n, alpha)
     # removing arcs is monotone, so only the (alpha+1)-sets holding both
     # ends of the removed arc can have turned acyclic
@@ -328,7 +326,7 @@ def prove_not_linearly_solvable(g):
         nonlocal work
         hit = _weak_violation(ins, alpha_sets)
         work += len(alpha_sets) if hit is None else hit + 1
-        check_bound("vertex sets tested by the prover", work, PROVER_WORK_CAP, knob)
+        check_bound("vertex sets tested by the prover", work, params.WORK_CAP, knob)
         if hit is None:
             return True
         for j in range(start, len(arcs)):

@@ -1,26 +1,22 @@
 """Exact combinatorial parameters of small digraphs.
 
 Everything here is exact branch-and-bound or exhaustive search.  Each
-search refuses a graph over its one vertex bound, a module constant below
-read when the search is called, before it starts; functions built on the
-searches take no bound of their own.
+search counts its work against WORK_CAP, read when it is charged, in
+units of at most tens of microseconds, and counts a listing before making
+it; functions built on the searches take no bound of their own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bitset import bits, max_clique, max_independent_set, maximal_cliques_containing, subset_masks
+from ._bitset import _complement, bits, max_clique, maximal_cliques_containing, subset_masks
 from .digraph import _peel
 from .errors import PreconditionError, check_bound
 
-ALPHA_LIMIT = 16
-CYCLE_LIMIT = 12
-PARTITION_LIMIT = 12
-IDS_LIMIT = 20
-MODEL_LIMIT = 7
-MATCHING_LIMIT = 20
+WORK_CAP = 1 << 20  # units of work per search, and sets per listing
 
 
 @dataclass(frozen=True)
@@ -81,24 +77,23 @@ def _find_short_cycle(out_masks, mask):
 
 
 def max_acyclic_set(g):
-    """A maximum acyclic vertex set, as a frozenset."""
-    check_bound("vertices for a max acyclic set", g.n, ALPHA_LIMIT, "guesslab.params.ALPHA_LIMIT")
-    return _max_acyclic_set(g)
-
-
-def _max_acyclic_set(g):
-    """max_acyclic_set with no vertex bound."""
+    """A maximum acyclic vertex set, as a frozenset.  On an undirected graph
+    it is a maximum independent set, one unit of work per search node.  A
+    directed node can take milliseconds, so there each cycle scan of a mask
+    costs one unit per vertex of the mask: the BFS roots it may try."""
     universe = sum(1 << v for v in range(g.n) if not g.has_loop(v))
     if g.is_undirected():
-        return frozenset(bits(max_independent_set(_sym_adj(g), g.n, universe)))
+        return frozenset(bits(max_clique(_complement(_sym_adj(g), universe), g.n, universe)))
 
     out_masks = g.out_masks()
     best = 0
     seen = set()
+    charge = _meter("max acyclic set scan roots")
 
     def greedy_packing(mask):
         cnt = 0
         while True:
+            charge(mask.bit_count())
             cyc = _find_short_cycle(out_masks, mask)
             if cyc is None:
                 return cnt
@@ -111,6 +106,7 @@ def _max_acyclic_set(g):
         if mask.bit_count() <= best.bit_count() or mask in seen:
             return
         seen.add(mask)
+        charge(mask.bit_count())
         cyc = _find_short_cycle(out_masks, mask)
         if cyc is None:
             best = mask
@@ -140,10 +136,10 @@ def feedback_number(g):
 def all_max_acyclic_sets(g):
     """Every maximum acyclic set; the minimum feedback vertex sets are the
     complements."""
-    check_bound("vertices for all max acyclic sets", g.n, CYCLE_LIMIT,
-                "guesslab.params.CYCLE_LIMIT")
+    alpha = acyclic_number(g)
+    check_bound("vertex sets listed", math.comb(g.n, alpha), WORK_CAP, "guesslab.params.WORK_CAP")
     ins = g.in_masks()
-    alpha_sets = subset_masks(g.n, acyclic_number(g))
+    alpha_sets = subset_masks(g.n, alpha)
     return [frozenset(bits(m)) for m in alpha_sets if _peel(ins, m) is not None]
 
 
@@ -152,70 +148,94 @@ def min_feedback_vertex_sets(g):
     return [everything - s for s in all_max_acyclic_sets(g)]
 
 
-def _minimal_cycles_through(out_masks, in_masks, mask, v):
+def _meter(what):
+    """charge(units) for one search: refuses once its units pass WORK_CAP."""
+    work = 0
+
+    def charge(units):
+        nonlocal work
+        work += units
+        if work > WORK_CAP:
+            check_bound(what, work, WORK_CAP, "guesslab.params.WORK_CAP")
+
+    return charge
+
+
+def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
     """Directed cycles through v inside mask with no shorter v-cycle inside
     their vertex set, as (vertex mask, cycle) pairs.  Forward chords and
     interior arcs back to v are pruned, which preserves at least one
-    optimal packing."""
-    cycles = []
+    optimal packing.  Each path, before it tries its arcs, passes charge
+    one unit per arc per path vertex: what the cycles it lists can hold."""
+    charge = charge or (lambda units: None)
     if out_masks[v] >> v & 1:
+        charge(1)
         return [(1 << v, (v,))]
 
-    def walk(path, path_mask):
-        last = path[-1]
-        for w in bits(out_masks[last] & mask & ~path_mask):
-            # no arc from an earlier path vertex into w (forward chord)
-            if any(out_masks[p] >> w & 1 for p in path[:-1]):
-                continue
-            if out_masks[w] >> v & 1:
-                cycles.append((path_mask | 1 << w, tuple(path) + (w,)))
-                continue
-            walk(path + [w], path_mask | (1 << w))
-
-    if out_masks[v] & in_masks[v] & mask & ~(1 << v):
-        for w in bits(out_masks[v] & in_masks[v] & mask & ~(1 << v)):
-            cycles.append((1 << v | 1 << w, (v, w)))
-    for w in bits(out_masks[v] & mask & ~(1 << v)):
-        if in_masks[v] >> w & 1:
-            continue  # already recorded as a 2-cycle
-        walk([v, w], (1 << v) | (1 << w))
+    out_v = out_masks[v] & mask & ~(1 << v)
+    charge(out_v.bit_count())
+    cycles = [(1 << v | 1 << w, (v, w)) for w in bits(out_v & in_masks[v])]
+    # depth first over the chordless paths from v: [path, its mask, the
+    # out-neighbours of all its vertices but the last, arcs left to try]
+    frames = [[[v], 1 << v, 0, out_v & ~in_masks[v]]]
+    while frames:
+        path, path_mask, chords, left = frame = frames[-1]
+        if not left:
+            frames.pop()
+            continue
+        w = (left & -left).bit_length() - 1
+        frame[3] = left & ~(1 << w)
+        if out_masks[w] >> v & 1:
+            cycles.append((path_mask | 1 << w, tuple(path) + (w,)))
+            continue
+        chords |= out_masks[path[-1]]
+        step = out_masks[w] & mask & ~path_mask & ~(1 << w)
+        charge((len(path) + 1) * step.bit_count())
+        frames.append([path + [w], path_mask | 1 << w, chords, step & ~chords])
     return cycles
 
 
 def _max_packing(n, through):
     """(count, pieces): a largest family of vertex-disjoint pieces inside
-    range(n).  through(mask) gives a vertex v of mask and the pieces inside
-    mask through v, as (vertex mask, piece) pairs, or None if mask holds no
-    piece; each mask either leaves v out or uses one piece through it."""
+    range(n).  through(mask, charge) gives a vertex v of mask and the pieces
+    inside mask through v, as (vertex mask, piece) pairs, or None if mask
+    holds no piece; each mask either leaves v out or uses one piece through
+    it.  Each mask not met before costs one unit of work, and through
+    charges its pieces.  Depth first over an explicit stack, which holds
+    masks to visit and, under their parts, (mask, v, pieces) to settle."""
     memo = {}
-
-    def rec(mask):
-        if mask in memo:
-            return memo[mask]
-        found = through(mask)
-        best = (0, ())
-        if found is not None:
-            v, pieces = found
-            best = rec(mask & ~(1 << v))
+    charge = _meter("packing search masks and pieces")
+    stack = [(1 << n) - 1]
+    while stack:
+        mask = stack.pop()
+        if isinstance(mask, tuple):  # its parts are known: settle it
+            mask, v, pieces = mask
+            best = memo[mask & ~(1 << v)]
             for used, piece in pieces:
-                cnt, rest = rec(mask & ~used)
+                cnt, rest = memo[mask & ~used]
                 if cnt + 1 > best[0]:
                     best = (cnt + 1, (piece,) + rest)
-        memo[mask] = best
-        return best
-
-    return rec((1 << n) - 1)
+            memo[mask] = best
+        elif mask not in memo:
+            charge(1)
+            found = through(mask, charge)
+            if found is None:
+                memo[mask] = (0, ())
+                continue
+            v, pieces = found
+            stack.append((mask, v, pieces))
+            stack += [mask & ~used for used, _ in reversed(pieces)]
+            stack.append(mask & ~(1 << v))
+    return memo[(1 << n) - 1]
 
 
 def max_disjoint_cycles(g):
     """(count, cycles): a maximum family of vertex-disjoint directed cycles."""
-    check_bound("vertices for disjoint cycle packing", g.n, CYCLE_LIMIT,
-                "guesslab.params.CYCLE_LIMIT")
     in_masks = g.in_masks()
     out_masks = g.out_masks()
     undirected = g.is_undirected()
 
-    def through(mask):
+    def through(mask, charge):
         if undirected:
             # a loop or an edge is a cycle: the lowest such vertex is the
             # lowest vertex of the shortest cycle _find_short_cycle returns
@@ -225,19 +245,19 @@ def max_disjoint_cycles(g):
             v = None if short is None else min(short)
         if v is None:
             return None
-        return v, _minimal_cycles_through(out_masks, in_masks, mask, v)
+        return v, _minimal_cycles_through(out_masks, in_masks, mask, v, charge)
 
     return _max_packing(g.n, through)
 
 
 def max_matching(g):
     """Maximum matching size over the symmetric (undirected) edges."""
-    check_bound("vertices for max matching", g.n, MATCHING_LIMIT, "guesslab.params.MATCHING_LIMIT")
     adj = _sym_adj(g)
 
-    def through(mask):
+    def through(mask, charge):
         for u in bits(mask):
             if adj[u] & mask:
+                charge((adj[u] & mask).bit_count())
                 return u, [(1 << u | 1 << w, (u, w)) for w in bits(adj[u] & mask)]
         return None
 
@@ -254,29 +274,38 @@ def _clique_covers(g, pairs, budget):
     maximal among the vertices still holding one: cutting a cover's clique
     down to those vertices covers the same pairs, so the search is exact.
     A clique holds at most omega of those vertices, which prunes; after
-    each cover found the search asks for one clique fewer.
+    each cover found the search asks for one clique fewer.  Depth first
+    over an explicit stack; omega is its own search, and this one costs a
+    unit per node plus one per call of the maximal-clique listing.
     """
     adj = _sym_adj(g)
     omega = max(max_clique(adj, g.n).bit_count(), 1)
     cover = [1 << v for v in range(g.n) if pairs[v] and not adj[v]]  # lone vertices: a clique each
-
-    def rec(uncovered):
-        nonlocal budget
+    base = len(cover)
+    charge = _meter("clique-cover search nodes")
+    frames = []  # per open node: its uncovered pairs and the cliques left to try
+    uncovered = [m if adj[v] else 0 for v, m in enumerate(pairs)]
+    while True:
+        charge(1)
         live = sum(1 << v for v, m in enumerate(uncovered) if m)
-        if live.bit_count() > (budget - len(cover)) * omega:
-            return
-        if not live:
+        if live and live.bit_count() <= (budget - len(cover)) * omega:
+            u = (live & -live).bit_length() - 1
+            cliques = maximal_cliques_containing(adj, 1 << u | uncovered[u] & -uncovered[u], live, charge)
+            frames.append((uncovered, iter(sorted(cliques, key=int.bit_count, reverse=True))))
+        elif not live and len(cover) <= budget:
             yield cover.copy()
             budget = len(cover) - 1
+        while frames:
+            del cover[base + len(frames) - 1:]  # the clique the top node tried last
+            parent, cliques = frames[-1]
+            c = next(cliques, None)
+            if c is not None:
+                cover.append(c)
+                uncovered = [m & ~c if c >> v & 1 else m for v, m in enumerate(parent)]
+                break
+            frames.pop()
+        else:
             return
-        u = (live & -live).bit_length() - 1
-        seed = 1 << u | uncovered[u] & -uncovered[u]
-        for c in sorted(maximal_cliques_containing(adj, seed, live), key=int.bit_count, reverse=True):
-            cover.append(c)
-            yield from rec([m & ~c if c >> v & 1 else m for v, m in enumerate(uncovered)])
-            cover.pop()
-
-    return rec([m if adj[v] else 0 for v, m in enumerate(pairs)])
 
 
 def _clique_cover(g, pairs, budget):
@@ -292,8 +321,6 @@ def _fewest_cliques(g, pairs):
 
 def min_clique_partition(g):
     """Minimum number of cliques (bidirectional complete sets) covering V."""
-    check_bound("vertices for clique partition", g.n, PARTITION_LIMIT,
-                "guesslab.params.PARTITION_LIMIT")
     return _fewest_cliques(g, [1 << v for v in range(g.n)])
 
 
@@ -318,8 +345,6 @@ def graph_params(g):
 def is_vertex_full(g):
     """cp(G) == alpha(G).  A clique holds at most one vertex of an acyclic
     set, so cp >= alpha, and equality holds iff alpha cliques cover V."""
-    check_bound("vertices for clique partition", g.n, PARTITION_LIMIT,
-                "guesslab.params.PARTITION_LIMIT")
     return _clique_cover(g, [1 << v for v in range(g.n)], acyclic_number(g)) is not None
 
 
@@ -330,8 +355,6 @@ def is_edge_full(g):
     smaller.  On undirected graphs this holds iff some (then every) maximum
     independent set is strongly compatible.
     """
-    check_bound("vertices for edge cover by cliques", g.n, PARTITION_LIMIT,
-                "guesslab.params.PARTITION_LIMIT")
     if not g.is_undirected() or not g.is_loopless():
         return False
     return _clique_cover(g, _sym_adj(g), acyclic_number(g) - isolated_count(g)) is not None
@@ -339,7 +362,7 @@ def is_edge_full(g):
 
 def in_dominating_counts(g):
     """counts[k] = number of in-dominating sets of size k.  Loopless only."""
-    check_bound("vertices for in-dominating sets", g.n, IDS_LIMIT, "guesslab.params.IDS_LIMIT")
+    check_bound(f"subsets swept, 2**{g.n}", 1 << g.n, WORK_CAP, "guesslab.params.WORK_CAP")
     if not g.is_loopless():
         raise PreconditionError("in-dominating sets are defined for loopless graphs")
     in_masks = g.in_masks()
@@ -349,14 +372,10 @@ def in_dominating_counts(g):
 
 def count_in_dominating_sets(g, k):
     counts = in_dominating_counts(g)
-    if not (0 <= k <= g.n):
-        return 0
-    return counts[k]
+    return counts[k] if 0 <= k <= g.n else 0
 
 
 def _check_model_graph(g):
-    check_bound("vertices for an intersection model", g.n, MODEL_LIMIT,
-                "guesslab.params.MODEL_LIMIT")
     if not g.is_undirected() or not g.is_loopless():
         raise PreconditionError("intersection models need an undirected loopless graph")
 

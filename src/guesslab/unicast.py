@@ -36,12 +36,13 @@ class UnicastInstance:
         sources = [s for s, _ in pairs]
         dests = [d for _, d in pairs]
         ids = sources + dests + list(inter)
-        if len(set(ids)) != len(ids):
+        known = set(ids)
+        if len(known) != len(ids):
             raise PreconditionError("sources, destinations and intermediates must be distinct")
-        if set(ids) != set(range(len(ids))):
+        if known != set(range(len(ids))):
             raise PreconditionError("node ids must cover 0..N-1")
         for u, v in arcs:
-            if u not in set(ids) or v not in set(ids):
+            if u not in known or v not in known:
                 raise PreconditionError(f"arc ({u}, {v}) uses an unknown node")
         for s, d in pairs:
             if (d, s) in arcs:
@@ -53,9 +54,6 @@ class UnicastInstance:
     @property
     def k(self):
         return len(self.pairs)
-
-    def node_count(self):
-        return 2 * self.k + len(self.intermediates)
 
 
 def to_guessing_digraph(inst):

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from guesslab import params
 from guesslab._bitset import bits
 from guesslab.coding import (
     CodingFunction,
@@ -319,9 +318,7 @@ def test_criterion_07_nondecreasing_vs_routing():
         assert best_c5 < 2 ** feedback_number(c5)
 
 
-def test_criterion_08_strongly_compatible_pipeline(monkeypatch):
-    # embeddings reach 3 + 6 * 4 + 3 = 30 vertices, past the default bound
-    monkeypatch.setattr(params, "ALPHA_LIMIT", 30)
+def test_criterion_08_strongly_compatible_pipeline():
     with criterion(8, "strongly compatible construction pipeline"):
         fig6 = fig6_graph()
         f = sls_construction(fig6, (0, 1))

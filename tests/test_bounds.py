@@ -1,11 +1,22 @@
-"""The bound policy: every exact search refuses through one check, before
-the work, with an error naming the quantity, the size, the cap and the knob.
-The prover's work bound is the exception: it is checked as the sweep runs."""
+"""The bound policy: every exact search refuses through one check, with an
+error naming the quantity, the size, the cap and the knob.
+
+Sizes known from the input are counted before any work: tabulated states
+and rows (coding.STATE_LIMIT), mindim's vertices (coding.MINDIM_LIMIT),
+conflict states, local tables, strict-enumeration work and witness rows
+(guessing), coefficient matrices (linear.SEARCH_CAP), and every listing
+or sweep under params.WORK_CAP: the prover's and the certificate's vertex
+sets, all maximum acyclic sets, and the in-dominating subsets.  The work
+only a search can know is counted as it runs, against params.WORK_CAP:
+the guessing search's nodes, each search in params with the listings
+inside it (maximal cliques, cycles through a vertex), charged before
+they grow, and the sets the prover's sweep tests."""
 
 import ast
 import math
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -14,12 +25,11 @@ from guesslab import _kernels, coding, guessing, linear, params
 from guesslab._bitset import subset_masks
 from guesslab.cli import main
 from guesslab.coding import CodingFunction, min_net, mindim, reduce_vertex
-from guesslab.constructions import clebsch_graph, clique_solution, gk_family, named
+from guesslab.constructions import clebsch_graph, clique_solution, gk_family, grotzsch_graph, named
 from guesslab.digraph import Digraph
 from guesslab.errors import ResourceBoundError, check_bound
 from guesslab.guessing import (
     guessing_number,
-    h_loops,
     is_routing_solvable,
     loopfull_witness,
     routing_witness,
@@ -32,13 +42,18 @@ from guesslab.linear import (
     weak_compat_certificate,
 )
 from guesslab.params import (
-    ALPHA_LIMIT,
-    MATCHING_LIMIT,
     GraphParams,
     acyclic_number,
+    all_max_acyclic_sets,
     graph_params,
+    in_dominating_counts,
     intersection_number,
+    is_edge_full,
+    is_vertex_full,
+    max_disjoint_cycles,
     max_matching,
+    min_clique_partition,
+    min_intersection_model,
 )
 from guesslab.serialize import emit_dot
 
@@ -77,11 +92,13 @@ def test_one_refusal_site():
 
 
 @pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
-def test_routing_searches_refuse_past_the_cycle_cap(search):
+def test_routing_searches_refuse_past_the_cycle_cap(monkeypatch, search):
+    # both pack the disjoint cycles first, which takes 2,547 units of work here
     g = random_digraph(random.Random(26), 13, p=0.3)
+    monkeypatch.setattr(params, "WORK_CAP", 2546)
     with pytest.raises(ResourceBoundError) as exc:
         search(g)
-    assert exc.value.needed == 13 > exc.value.cap == 12 and exc.value.knob
+    assert exc.value.needed == 2547 > exc.value.cap == 2546 and exc.value.knob
 
 
 def test_strict_refuses_before_building_masks(monkeypatch):
@@ -95,11 +112,13 @@ def test_strict_refuses_before_building_masks(monkeypatch):
     assert exc.value.needed == 2 * 2**24 > exc.value.cap and exc.value.knob
 
 
-def test_max_matching_refuses_past_its_cap():
-    assert max_matching(complete_graph(MATCHING_LIMIT)) == MATCHING_LIMIT // 2
+def test_max_matching_refuses_past_its_cap(monkeypatch):
+    # the packing search takes 2,053 units of work on K12, and more on K13
+    monkeypatch.setattr(params, "WORK_CAP", 2053)
+    assert max_matching(complete_graph(12)) == 12 // 2
     with pytest.raises(ResourceBoundError) as exc:
-        max_matching(complete_graph(32))
-    assert exc.value.needed == 32 > exc.value.cap == MATCHING_LIMIT and exc.value.knob
+        max_matching(complete_graph(13))
+    assert exc.value.needed > exc.value.cap == 2053 and exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 @pytest.mark.parametrize(
@@ -127,13 +146,15 @@ def test_linear_huge_modulus_lists_no_units(capsys, tmp_path, monkeypatch, arcs,
 
 
 def test_prover_refuses_too_many_vertex_sets():
-    # 11 disjoint 2-cycles: alpha = 11, and C(22, 12) = 646,646 sets of 12
-    # vertices; the acyclic number's vertex bound refuses first
+    # 11 disjoint 2-cycles: alpha = 11, and the prover would list the
+    # C(22, 11) alpha-sets, the C(22, 12) sets of 12 vertices, and per arc
+    # the C(20, 10) of those that hold both its ends
     cycles = [(2 * i, 2 * i + 1) for i in range(11)] + [(2 * i + 1, 2 * i) for i in range(11)]
     with pytest.raises(ResourceBoundError) as exc:
         linear.prove_not_linearly_solvable(Digraph.of(22, cycles))
-    assert exc.value.needed == 22 > exc.value.cap == ALPHA_LIMIT
-    assert exc.value.knob == "guesslab.params.ALPHA_LIMIT"
+    listed = math.comb(22, 11) + math.comb(22, 12) + 22 * math.comb(20, 10)
+    assert exc.value.needed == listed > exc.value.cap == params.WORK_CAP
+    assert exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 @pytest.mark.parametrize("search", [prove_not_linearly_solvable, weak_compat_certificate])
@@ -143,13 +164,12 @@ def test_prover_and_certificate_refuse_before_listing(monkeypatch, search):
     def listed(*_):
         raise AssertionError("vertex sets listed")
 
-    monkeypatch.setattr(params, "ALPHA_LIMIT", 24)
     monkeypatch.setattr(linear, "subset_masks", listed)
     cycles = [(2 * i, 2 * i + 1) for i in range(12)] + [(2 * i + 1, 2 * i) for i in range(12)]
     with pytest.raises(ResourceBoundError) as exc:
         search(Digraph.of(24, cycles))
-    assert exc.value.needed >= math.comb(24, 12) > exc.value.cap == linear.PROVER_WORK_CAP
-    assert exc.value.knob == "guesslab.linear.PROVER_WORK_CAP"
+    assert exc.value.needed >= math.comb(24, 12) > exc.value.cap == params.WORK_CAP
+    assert exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 def test_prover_lists_what_it_counts(monkeypatch):
@@ -161,30 +181,32 @@ def test_prover_lists_what_it_counts(monkeypatch):
         return subset_masks(n, size)
 
     monkeypatch.setattr(linear, "subset_masks", counted)
-    cap = linear.PROVER_WORK_CAP
+    cap = params.WORK_CAP
     # the last graph has alpha = 0, so no 1-set holds both ends of its arc (0, 1)
     graphs = [gk_family(3), gk_family(4, "minimal"), complete_graph(4), Digraph.of(3, [(0, 0), (1, 2)]),
               Digraph.of(2, [(0, 0), (1, 1), (0, 1)])]
     for g in graphs:
         lengths.clear()
         alpha = acyclic_number(g)
-        monkeypatch.setattr(linear, "PROVER_WORK_CAP", 0)
+        holding = sum(1 for m in subset_masks(g.n, alpha + 1) for u, v in g.arcs if m >> u & m >> v & 1)
+        listed = math.comb(g.n, alpha) + math.comb(g.n, alpha + 1) + holding
+        # one below the listing: the acyclic number, which needs less, still runs
+        monkeypatch.setattr(params, "WORK_CAP", listed - 1)
         with pytest.raises(ResourceBoundError) as exc:
             prove_not_linearly_solvable(g)
-        holding = sum(1 for m in subset_masks(g.n, alpha + 1) for u, v in g.arcs if m >> u & m >> v & 1)
-        assert exc.value.needed == math.comb(g.n, alpha) + math.comb(g.n, alpha + 1) + holding
+        assert exc.value.needed == listed
         assert lengths == []
-        monkeypatch.setattr(linear, "PROVER_WORK_CAP", cap)
+        monkeypatch.setattr(params, "WORK_CAP", cap)
         prove_not_linearly_solvable(g)
         assert lengths == [math.comb(g.n, alpha), math.comb(g.n, alpha + 1)]
 
 
 def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(linear, "PROVER_WORK_CAP", 1000)
+    monkeypatch.setattr(params, "WORK_CAP", 1000)
     path = tmp_path / "gk4.dot"
     path.write_text(emit_dot(gk_family(4, "maximal")))
     assert main(["solvable", str(path), "--prove-nonlinear"]) == 3
-    assert "guesslab.linear.PROVER_WORK_CAP" in capsys.readouterr().err
+    assert "guesslab.params.WORK_CAP" in capsys.readouterr().err
 
 
 def _check_bound_knobs(tree):
@@ -240,60 +262,38 @@ def test_knob_inventory():
     assert knobs == KNOBS
     assert named == KNOBS
     assert sorted(row[0] for row in KNOB_CALLS) == sorted(KNOBS)  # one row per knob
+    # the README names every knob, and no knob that is gone
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"guesslab\.(\w+\.[A-Z_]+_(?:CAP|LIMIT))\b", readme)) == KNOBS
 
 
 KNOBS = {
     "coding.STATE_LIMIT",
     "coding.MINDIM_LIMIT",
     "guessing.COMBO_CAP",
-    "guessing.NODE_CAP",
     "guessing.STATE_CAP",
     "guessing.TABLE_CAP",
     "guessing.WITNESS_ROW_CAP",
-    "linear.PROVER_WORK_CAP",
     "linear.SEARCH_CAP",
-    "params.ALPHA_LIMIT",
-    "params.CYCLE_LIMIT",
-    "params.PARTITION_LIMIT",
-    "params.IDS_LIMIT",
-    "params.MODEL_LIMIT",
-    "params.MATCHING_LIMIT",
+    "params.WORK_CAP",
 }
 
-CLEBSCH_PARAMS = GraphParams(k=11, alpha=5, c=8, mu=8, cp=8, isolated=0)
 
-
-# knob, what one call needs of it, the call, other knobs it needs raised,
-# and what the call returns
+# knob, what one call needs of it, the call, and what the call returns
 KNOB_CALLS = [
-    ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), {}, (64, None)),
-    ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), {}, 1),
-    ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, {}, 2),
-    # c = 3 < k = 4 and gn = 10: the search runs to the end
-    ("guessing.NODE_CAP", 23273, lambda: guessing_number(gk_family(4), 2).max_fix, {}, 10),
-    ("guessing.TABLE_CAP", 4, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
-    ("guessing.COMBO_CAP", 62, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, {}, 2),
-    ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, {}, 3),
-    ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, {}, 2),
-    ("linear.PROVER_WORK_CAP", 127, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
-     {}, linear.NOT_LINEARLY_SOLVABLE),
-    ("params.ALPHA_LIMIT", 5, lambda: acyclic_number(directed_cycle(5)), {}, 4),
-    ("params.CYCLE_LIMIT", 16, lambda: graph_params(clebsch_graph()),
-     {"params.PARTITION_LIMIT": 16}, CLEBSCH_PARAMS),
-    ("params.PARTITION_LIMIT", 16, lambda: graph_params(clebsch_graph()),
-     {"params.CYCLE_LIMIT": 16}, CLEBSCH_PARAMS),
-    ("params.IDS_LIMIT", 5, lambda: h_loops(directed_cycle(5), 2).max_fix, {}, 11),
-    ("params.MODEL_LIMIT", 5, lambda: intersection_number(undirected_cycle(5)), {}, 5),
-    ("params.MATCHING_LIMIT", 4, lambda: max_matching(complete_graph(4)), {}, 2),
+    ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), (64, None)),
+    ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), 1),
+    ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, 2),
+    ("guessing.TABLE_CAP", 4, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
+    ("guessing.COMBO_CAP", 62, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
+    ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, 3),
+    ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
+    # c = 3 < k = 4 and gn = 10: the clique search runs to the end
+    ("params.WORK_CAP", 23273, lambda: guessing_number(gk_family(4), 2).max_fix, 10),
 ]
 
 
-@pytest.mark.parametrize(
-    "knob, need, call, others, want", KNOB_CALLS, ids=[row[0] for row in KNOB_CALLS]
-)
-def test_each_knob_raises_its_bound(monkeypatch, knob, need, call, others, want):
-    for other, value in others.items():
-        monkeypatch.setattr(f"guesslab.{other}", value)
+def _refused_below_and_answers_at(monkeypatch, knob, need, call, want):
     monkeypatch.setattr(f"guesslab.{knob}", need - 1)
     with pytest.raises(ResourceBoundError) as exc:
         call()
@@ -302,13 +302,117 @@ def test_each_knob_raises_its_bound(monkeypatch, knob, need, call, others, want)
     assert call() == want
 
 
-def test_guessing_past_the_cycle_cap_skips_the_bounds(monkeypatch):
-    # 13 vertices: the sandwich's c and k would be refused, so they are not
-    # computed, and raising the state cap alone is enough
+@pytest.mark.parametrize("knob, need, call, want", KNOB_CALLS, ids=[row[0] for row in KNOB_CALLS])
+def test_each_knob_raises_its_bound(monkeypatch, knob, need, call, want):
+    _refused_below_and_answers_at(monkeypatch, knob, need, call, want)
+
+
+C5U_MODEL = tuple(map(frozenset, ({0, 1}, {0, 2}, {2, 3}, {3, 4}, {1, 4})))
+
+# a search, the units of params.WORK_CAP one call needs, the call, and what
+# it returns; a call made of several searches needs the most any one needs
+WORK_CALLS = [
+    # directed: each cycle scan costs the vertices it may root a BFS at
+    ("acyclic_number-directed", 9, lambda: acyclic_number(directed_cycle(5)), 4),
+    # undirected: one unit per node of the independent-set search
+    ("acyclic_number-undirected", 17, lambda: acyclic_number(clebsch_graph()), 5),
+    # a unit per mask, and per arc per path vertex for the cycles listed
+    ("max_disjoint_cycles", 136, lambda: max_disjoint_cycles(gk_family(4)), (3, ((1, 4), (2, 5), (3, 6)))),
+    ("max_matching", 16, lambda: max_matching(complete_graph(4)), 2),
+    # a unit per cover node and per call of the maximal-clique listing
+    ("min_clique_partition", 57, lambda: min_clique_partition(clebsch_graph()), 8),
+    ("is_vertex_full", 8, lambda: is_vertex_full(undirected_cycle(4)), True),
+    ("is_edge_full", 5, lambda: is_edge_full(complete_graph(4)), True),
+    ("intersection_number", 11, lambda: intersection_number(undirected_cycle(5)), 5),
+    ("min_intersection_model", 11, lambda: min_intersection_model(undirected_cycle(5), 5), C5U_MODEL),
+    # the C(5, 2) candidate sets, counted before they are listed
+    ("all_max_acyclic_sets", 10, lambda: len(all_max_acyclic_sets(undirected_cycle(5))), 5),
+    # 2**5 subsets, counted before the sweep
+    ("in_dominating_counts", 32, lambda: in_dominating_counts(directed_cycle(5)), (0, 0, 0, 5, 5, 1)),
+    ("prove_not_linearly_solvable", 127, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
+     linear.NOT_LINEARLY_SOLVABLE),
+    ("weak_compat_certificate", 31, lambda: weak_compat_certificate(gk_family(3)),
+     linear.Certificate(linear.NOT_STRICTLY_LINEARLY_SOLVABLE, frozenset({0, 1}))),
+]
+
+
+@pytest.mark.parametrize("need, call, want", [row[1:] for row in WORK_CALLS],
+                         ids=[row[0] for row in WORK_CALLS])
+def test_each_search_charges_the_work_cap(monkeypatch, need, call, want):
+    _refused_below_and_answers_at(monkeypatch, "params.WORK_CAP", need, call, want)
+
+
+def test_the_cover_search_and_its_omega_search_charge_apart(monkeypatch):
+    # K3: the search for omega takes one node; the cover search then takes
+    # two nodes and three calls of the maximal-clique listing
+    monkeypatch.setattr(params, "WORK_CAP", 0)
+    with pytest.raises(ResourceBoundError, match="max clique") as exc:
+        min_clique_partition(complete_graph(3))
+    assert (exc.value.needed, exc.value.cap) == (1, 0)
+    monkeypatch.setattr(params, "WORK_CAP", 4)
+    with pytest.raises(ResourceBoundError, match="clique-cover") as exc:
+        min_clique_partition(complete_graph(3))
+    assert (exc.value.needed, exc.value.cap) == (5, 4)
+    monkeypatch.setattr(params, "WORK_CAP", 5)
+    assert min_clique_partition(complete_graph(3)) == 1
+
+
+def _cocktail_party(k):
+    """K_{2 x k}: every pair of vertices but 2i, 2i + 1 is an edge, so
+    2**(k - 1) maximal cliques hold vertex 0."""
+    n = 2 * k
+    return Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u // 2 != v // 2])
+
+
+def _diamond_chain(m):
+    """0 -> a_i, b_i -> c_i -> a_{i+1}, b_{i+1} ... -> 0: 2**m chordless
+    cycles through vertex 0."""
+    arcs, last = [], 0
+    for i in range(m):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        arcs += [(last, a), (last, b), (a, c), (b, c)]
+        last = c
+    return Digraph.of(3 * m + 1, arcs + [(last, 0)])
+
+
+@pytest.mark.parametrize("listing, search, g", [
+    ("maximal_cliques_containing", min_clique_partition, _cocktail_party(16)),
+    ("_minimal_cycles_through", max_disjoint_cycles, _diamond_chain(15)),
+], ids=["cliques", "cycles"])
+def test_listings_are_charged_as_they_grow(monkeypatch, listing, search, g):
+    # 2**15 cliques or cycles in one listing, past the cap: it is stopped
+    # part way, so no listing is ever handed back (K_{2 x 30} and 25
+    # diamonds would hold gigabytes)
+    real = getattr(params, listing)
+    returned = []
+    monkeypatch.setattr(params, listing, lambda *args: returned.append(real(*args)))
+    monkeypatch.setattr(params, "WORK_CAP", 10000)
+    with pytest.raises(ResourceBoundError) as exc:
+        search(g)
+    assert exc.value.needed > exc.value.cap == 10000 and exc.value.knob == "guesslab.params.WORK_CAP"
+    assert returned == []
+
+
+def test_in_dominating_sweep_runs_at_twenty_vertices():
+    # 2**20 subsets are the default cap; 2**21 are refused before the sweep
+    assert sum(in_dominating_counts(directed_cycle(20))) == 15127
+    with pytest.raises(ResourceBoundError) as exc:
+        in_dominating_counts(directed_cycle(21))
+    assert (exc.value.needed, exc.value.cap) == (1 << 21, params.WORK_CAP)
+
+
+def test_graph_params_of_the_aim_graphs_at_default_caps():
+    assert graph_params(clebsch_graph()) == GraphParams(k=11, alpha=5, c=8, mu=8, cp=8, isolated=0)
+    assert graph_params(grotzsch_graph()) == GraphParams(k=6, alpha=5, c=5, mu=5, cp=6, isolated=0)
+
+
+def test_guessing_on_thirteen_isolated_vertices_takes_the_sandwich(monkeypatch):
+    # c = k = 0 whatever the size, so raising the state cap alone is enough
     monkeypatch.setattr(guessing, "STATE_CAP", 2**13)
     rep = guessing_number(Digraph.of(13, []), 2)
-    assert rep.max_fix == 1 and (rep.stats.c, rep.stats.k) == (None, None)
-    assert guessing.is_solvable(Digraph.of(13, []), 2)  # k = 0 from the acyclic number
+    assert rep.max_fix == 1 and rep.method == "routing-sandwich"
+    assert (rep.stats.c, rep.stats.k) == (0, 0)
+    assert guessing.is_solvable(Digraph.of(13, []), 2)
 
 
 def test_substitution_refuses_before_decoding(monkeypatch):
@@ -329,7 +433,7 @@ def test_substitution_refuses_before_decoding(monkeypatch):
 
 
 def test_loopfull_witness_refuses_by_table_rows():
-    # K20 passes the 20-vertex limit, but 20 tables of 3**20 rows do not
+    # 20 tables of 3**20 rows each
     k20 = complete_graph(20)
     with pytest.raises(ResourceBoundError) as exc:
         guessing.loopfull_witness(k20, 3)

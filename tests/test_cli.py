@@ -6,6 +6,8 @@ import pytest
 
 from guesslab import cli, params
 from guesslab.cli import main
+from guesslab.constructions import clebsch_graph
+from guesslab.digraph import Digraph, symmetrized
 from guesslab.serialize import emit_dot, emit_json, parse
 from guesslab.unicast import butterfly_instance
 
@@ -95,6 +97,24 @@ def test_solvable_routing_negative(capsys, monkeypatch):
         capsys, ["solvable", "-", "--routing"], stdin=emit_dot(complete_graph(3)), monkeypatch=monkeypatch
     )
     assert code == 1 and "False" in out
+
+
+def test_solvable_routing_on_clebsch(capsys, tmp_path):
+    # 16 vertices: c = 8 < k = 11, decided at the default caps
+    path = tmp_path / "clebsch.dot"
+    path.write_text(emit_dot(clebsch_graph()))
+    code, out, _ = run_cli(capsys, ["solvable", str(path), "--routing", "--json"])
+    assert code == 1 and json.loads(out) == {"routing_solvable": False}
+
+
+def test_solvable_routing_on_a_long_path(capsys, monkeypatch):
+    # 1,200 vertices, c = k = 600: the packing search keeps its own stack,
+    # so depth is no bar below the work cap
+    path = symmetrized(Digraph.of(1200, [(i, i + 1) for i in range(1199)]))
+    code, out, _ = run_cli(
+        capsys, ["solvable", "-", "--routing", "--json"], stdin=emit_dot(path), monkeypatch=monkeypatch
+    )
+    assert code == 0 and json.loads(out) == {"routing_solvable": True}
 
 
 def test_solvable_needs_a_mode(capsys, monkeypatch):

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from guesslab import params
 from guesslab.coding import count_fixed_points, fixed_points, interaction_graph, min_net
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.coding import reduce_vertex as table_reduce_vertex
@@ -146,11 +145,10 @@ def test_embed_acyclic_inputs_come_back_unchanged():
     assert emb2.graph == e3 and not emb2.extended
 
 
-def test_embed_pipeline_all_small_digraphs(monkeypatch):
+def test_embed_pipeline_all_small_digraphs():
     # every loopless digraph on <= 3 vertices embeds into a strictly
     # linearly solvable graph via its designated acyclic set; the largest
     # embedding, of 6 arcs on 3 vertices, has 3 + 6 * 4 + 3 = 30 vertices
-    monkeypatch.setattr(params, "ALPHA_LIMIT", 30)
     for n in range(1, 4):
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         for r in range(len(pairs) + 1):

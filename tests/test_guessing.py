@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guesslab import _kernels, guessing
+from guesslab import _kernels, guessing, params
 from guesslab._bitset import max_independent_set
 from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
@@ -167,10 +167,10 @@ def test_root_orbits_cut_the_search(monkeypatch):
     assert count_fixed_points(rep.witness) == 12
     # without the orbits the search needs more nodes than it took with them
     monkeypatch.setattr(guessing, "_root_orbits", lambda digs, q: None)
-    monkeypatch.setattr(guessing, "NODE_CAP", rep.stats.nodes)
+    monkeypatch.setattr(params, "WORK_CAP", rep.stats.nodes)
     with pytest.raises(ResourceBoundError) as exc:
         guessing_number(undirected_cycle(5), 3)
-    assert exc.value.knob == "guesslab.guessing.NODE_CAP"
+    assert exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 def test_root_orbits_are_support_patterns():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from guesslab import _kernels, linear
+from guesslab import _kernels, linear, params
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
 from guesslab.constructions import clique_solution, fig6_graph, gk_family
@@ -316,12 +316,13 @@ def test_prove_not_linearly_solvable_examples():
     assert prove_not_linearly_solvable(complete_graph(3)).verdict == INCONCLUSIVE
 
 
-def test_prove_not_arc_cap():
+def test_prove_not_arc_cap(monkeypatch):
     # 28 arcs are no bar; the sweep itself runs past its work bound
-    with pytest.raises(ResourceBoundError) as exc:
+    monkeypatch.setattr(params, "WORK_CAP", 20000)
+    with pytest.raises(ResourceBoundError, match="tested by the prover") as exc:
         prove_not_linearly_solvable(gk_family(4, "maximal"))
-    assert exc.value.needed > exc.value.cap == linear.PROVER_WORK_CAP
-    assert exc.value.knob == "guesslab.linear.PROVER_WORK_CAP"
+    assert exc.value.needed > exc.value.cap == params.WORK_CAP
+    assert exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 def plain_prove(g):

@@ -85,11 +85,14 @@ def test_undirected_mu_equals_c():
         assert p.mu == p.c
 
 
-def test_alpha_limit_enforced():
+def test_alpha_limit_enforced(monkeypatch):
+    # 20 vertices are no bar: C20's independent-set search takes one node
+    assert max_acyclic_set(undirected_cycle(20)) == frozenset(range(0, 20, 2))
+    monkeypatch.setattr(params, "WORK_CAP", 0)
     with pytest.raises(ResourceBoundError) as exc:
-        max_acyclic_set(Digraph.of(20, []))
-    assert exc.value.needed == 20 > exc.value.cap == 16
-    assert exc.value.knob == "guesslab.params.ALPHA_LIMIT"
+        max_acyclic_set(undirected_cycle(20))
+    assert exc.value.needed == 1 > exc.value.cap == 0
+    assert exc.value.knob == "guesslab.params.WORK_CAP"
 
 
 def test_all_max_acyclic_sets():
@@ -354,7 +357,8 @@ def cover_sizes(g, pairs, budget):
 def check_covers_and_packings(g, covers=True):
     """cp, vertex-fullness, matching and cycle packing against the oracles
     and, on undirected loopless graphs, edge-fullness against the
-    intersection number (against the covers past MODEL_LIMIT).  With
+    intersection number (against the covers past 7 vertices, where the
+    plain model search stops being quick).  With
     covers, also every cover the search yields, and the intersection number
     against the plain model search."""
     vertices = [1 << v for v in range(g.n)]
@@ -372,7 +376,7 @@ def check_covers_and_packings(g, covers=True):
         return
     budget = alpha - len(g.isolated_vertices())
     edges = _undirected_adj(g)
-    if g.n > params.MODEL_LIMIT:
+    if g.n > 7:
         assert is_edge_full(g) == bool(cover_sizes(g, edges, budget))
         return
     theta = intersection_number(g)
@@ -398,19 +402,17 @@ def test_cover_and_packing_searches_on_every_small_graph():
             check_covers_and_packings(Digraph.of(n, edges + [(v, u) for u, v in edges]), n <= 5)
 
 
-def test_clebsch_and_union_fixture(monkeypatch):
+def test_clebsch_and_union_fixture():
     cl = clebsch_graph()
     assert cl.n == 16 and cl.is_undirected()
     assert acyclic_number(cl) == 5
     union = bidirectional_union(Digraph.of(6, []), cl)
     assert union.n == 22
-    monkeypatch.setattr(params, "ALPHA_LIMIT", 22)
-    monkeypatch.setattr(params, "PARTITION_LIMIT", 22)
     assert acyclic_number(union) == 6
     assert min_clique_partition(union) > 6
 
 
-def test_grotzsch_complement_union(monkeypatch):
+def test_grotzsch_complement_union():
     gr = grotzsch_graph()
     comp = Digraph.of(
         11,
@@ -424,7 +426,6 @@ def test_grotzsch_complement_union(monkeypatch):
     assert acyclic_number(comp) == 2
     assert min_clique_partition(comp) == 4
     union = bidirectional_union(Digraph.of(3, []), comp)
-    monkeypatch.setattr(params, "PARTITION_LIMIT", 14)
     assert acyclic_number(union) == 3
     assert min_clique_partition(union) == 4
 
