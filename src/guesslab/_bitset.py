@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import check_bound
-
 
 def bits(mask):
     while mask:
@@ -24,24 +22,20 @@ def _complement(adj, universe):
     return {v: ~adj[v] & universe & ~(1 << v) for v in bits(universe)}
 
 
-class _Stop(Exception):
-    """Unwinds clique_search once its target is met or its budget spent."""
-
-
-def clique_search(adj, universe, seed=0, target=None, orbits=None, budget=None):
+def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
     """(clique, nodes, orbit_pruned): a maximum clique within universe, as a
     bitmask, with the search nodes expanded and the root candidates dropped
     by orbits.
 
     Tomita-style search: candidates are greedily coloured and visited in
-    reverse colour order, pruning when r_size + colour cannot beat the best.
+    reverse colour order, pruning when size + colour cannot beat the best.
     The incumbent starts as the larger of `seed`, a clique within universe,
     and a greedy clique.  The search returns its incumbent early once that
-    has `target` vertices, or once it has expanded more than `budget` nodes.
-    orbits[v] is a bitmask of vertices that automorphisms of the graph
-    within universe map to v: a clique through one of them is the image of
-    one through v, so once the root has branched on v they leave its
-    candidates.
+    has `target` vertices.  charge(1), if given, runs as each node is
+    expanded.  orbits[v] is a bitmask of vertices that automorphisms of the
+    graph within universe map to v: a clique through one of them is the
+    image of one through v, so once the root has branched on v they leave
+    its candidates.  Depth first over an explicit stack.
     """
     best = seed
     greedy = 0
@@ -55,21 +49,17 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, budget=None):
     best_size = best.bit_count()
     if target is None:
         target = universe.bit_count() + 1
-    if budget is None:
-        budget = float("inf")
     nodes = pruned = 0
-
-    def expand(r_mask, r_size, p, drop):
-        nonlocal best, best_size, nodes, pruned
+    if best_size >= target:
+        return best, nodes, pruned
+    # the open ancestors of the node in hand, each as (clique, size,
+    # candidates, colour order, bounds, next index, vertex branched on)
+    frames = []
+    r, size, p = 0, 0, universe
+    while True:
         nodes += 1
-        if nodes > budget:
-            raise _Stop
-        if p == 0:
-            if r_size > best_size:
-                best, best_size = r_mask, r_size
-                if best_size >= target:
-                    raise _Stop
-            return
+        if charge is not None:
+            charge(1)
         order = []
         bound = []
         colour = 0
@@ -83,23 +73,27 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, budget=None):
                 bound.append(colour)
                 rest &= ~(1 << v)
                 avail &= rest & ~adj[v]
-        for i in range(len(order) - 1, -1, -1):
-            if r_size + bound[i] <= best_size:
-                return
-            v = order[i]
-            if p >> v & 1:  # else the root dropped v with an orbit
-                expand(r_mask | (1 << v), r_size + 1, p & adj[v], None)
-                p &= ~(1 << v)
-                if drop is not None:
-                    pruned += (p & drop[v]).bit_count()
-                    p &= ~drop[v]
-
-    if best_size < target:
-        try:
-            expand(0, 0, universe, orbits)
-        except _Stop:
-            pass
-    return best, nodes, pruned
+        i = len(order) - 1
+        if not p and size > best_size:
+            best, best_size = r, size
+            if best_size >= target:
+                return best, nodes, pruned
+        # the next candidate to branch on, back up the stack past finished nodes
+        while True:
+            while i >= 0 and size + bound[i] > best_size and not p >> order[i] & 1:
+                i -= 1  # the root dropped order[i] with an orbit
+            if i >= 0 and size + bound[i] > best_size:
+                break
+            if not frames:
+                return best, nodes, pruned
+            r, size, p, order, bound, i, v = frames.pop()
+            p &= ~(1 << v)
+            if orbits is not None and not frames:
+                pruned += (p & orbits[v]).bit_count()
+                p &= ~orbits[v]
+        v = order[i]
+        frames.append((r, size, p, order, bound, i - 1, v))
+        r, size, p = r | 1 << v, size + 1, p & adj[v]
 
 
 def max_clique(adj, n, universe=None):
@@ -110,9 +104,7 @@ def max_clique(adj, n, universe=None):
     from . import params
 
     universe = (1 << n) - 1 if universe is None else universe
-    clique, nodes, _ = clique_search(adj, universe, budget=params.WORK_CAP)
-    check_bound("max clique search nodes", nodes, params.WORK_CAP, "guesslab.params.WORK_CAP")
-    return clique
+    return clique_search(adj, universe, charge=params._meter("max clique search nodes"))[0]
 
 
 def max_independent_set(adj, n, universe=None):

@@ -32,9 +32,10 @@ def backend() -> str:
 # support is indexed the same way by the support's digits.
 
 # fixed_point_mask holds at most STATE_BLOCK prefix codes per level (512 KiB
-# of int64, so n * 512 KiB in all), and guessing._fix_masks decodes this many
-# states at once (n * 512 KiB of digits).  Blocks of 2**18 codes, which leave
-# a 2 MiB L2 cache, made fixed_point_mask 2x slower on 10-vertex identities.
+# of int64, so n * 512 KiB in all), and guessing._fix_masks and
+# coding._substitute decode this many states or rows at once (n * 512 KiB of
+# digits).  Blocks of 2**18 codes, which leave a 2 MiB L2 cache, made
+# fixed_point_mask 2x slower on 10-vertex identities.
 STATE_BLOCK = 1 << 16
 
 

@@ -129,7 +129,8 @@ def _substitute(f, i, cum):
 
     Tabulated big-endian over the sorted inputs that f_i then reads
     essentially; f_i comes back as it is if it reads none of cum.  The
-    q**len(inputs) rows are refused over STATE_LIMIT before any is built.
+    q**len(inputs) rows are refused over STATE_LIMIT before any is built,
+    and decoded _kernels.STATE_BLOCK rows at a time.
     """
     sup = f.supports[i]
     if not any(u in cum for u in sup):
@@ -139,16 +140,20 @@ def _substitute(f, i, cum):
     rows = q ** len(inputs)
     check_bound(f"substituted rows, {q}**{len(inputs)}", rows, STATE_LIMIT,
                 "guesslab.coding.STATE_LIMIT")
-    digs = _kernels._digits(np.arange(rows), len(inputs), q)
-    vals = np.empty((len(digs), len(sup)), dtype=np.int64)  # column p: the value fed to sup[p]
-    for p, u in enumerate(sup):
-        if u in cum:
-            inner = _kernels._support_rows(digs, [inputs.index(w) for w in cum[u].inputs], q)
-            vals[:, p] = np.take(cum[u].table, inner)
-        else:
-            vals[:, p] = digs[:, inputs.index(u)]
-    row = _kernels._support_rows(vals, range(len(sup)), q)
-    return _tighten_local(q, inputs, np.asarray(f.tables[i])[row].tolist())
+    table = np.asarray(f.tables[i])
+    inner = {u: np.asarray(cum[u].table) for u in sup if u in cum}
+    out = np.empty(rows, dtype=np.int64)
+    for lo in range(0, rows, _kernels.STATE_BLOCK):
+        digs = _kernels._digits(np.arange(lo, min(lo + _kernels.STATE_BLOCK, rows)), len(inputs), q)
+        vals = np.empty((len(digs), len(sup)), dtype=np.int64)  # column p: the value fed to sup[p]
+        for p, u in enumerate(sup):
+            if u in cum:
+                at = _kernels._support_rows(digs, [inputs.index(w) for w in cum[u].inputs], q)
+                vals[:, p] = inner[u][at]
+            else:
+                vals[:, p] = digs[:, inputs.index(u)]
+        out[lo : lo + len(digs)] = table[_kernels._support_rows(vals, range(len(sup)), q)]
+    return _tighten_local(q, inputs, out.tolist())
 
 
 def _eliminate(f, cum):

@@ -1,4 +1,5 @@
-"""Exception types shared across the library, and the one refusal check."""
+"""Exception types shared across the library, the one refusal check, and
+the meter that searches charge their work to."""
 
 
 class GuesslabError(Exception):
@@ -34,6 +35,20 @@ def check_bound(what, needed, bound, knob):
         raise ResourceBoundError(
             f"{what}: needs {shown}, over the cap {bound} set by {knob}", needed, bound, knob
         )
+
+
+def meter(what, bound, knob):
+    """charge(units) for one search, made when it is called: refuses
+    through check_bound once the units charged pass bound."""
+    spent = 0
+
+    def charge(units):
+        nonlocal spent
+        spent += units
+        if spent > bound:
+            check_bound(what, spent, bound, knob)
+
+    return charge
 
 
 class ParseError(GuesslabError, ValueError):

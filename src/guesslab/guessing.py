@@ -16,11 +16,10 @@ from . import _kernels, params
 from ._bitset import _complement, bits, clique_search
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
-from .errors import PreconditionError, check_bound
+from .errors import PreconditionError, check_bound, meter
 from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
-TABLE_CAP = 1 << 20
 COMBO_CAP = 1 << 22
 WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
 
@@ -182,14 +181,12 @@ def guessing_number(g, q):
     total = seed.bit_count()
     nodes = pruned = 0
     closed = "exhausted"
+    charge = params._meter("clique-search nodes")
     for i, comp in enumerate(comps):
         target = q**k - 1 - (total - found[i].bit_count())
-        sol, spent, dropped = clique_search(
-            _complement(adj, comp), comp, found[i], target, orbits, params.WORK_CAP - nodes
-        )
+        sol, spent, dropped = clique_search(_complement(adj, comp), comp, found[i], target, orbits, charge)
         nodes += spent
         pruned += dropped
-        check_bound("clique-search nodes", nodes, params.WORK_CAP, "guesslab.params.WORK_CAP")
         total += sol.bit_count() - found[i].bit_count()
         found[i] = sol
         if total + 1 >= q**k:
@@ -207,14 +204,11 @@ def guessing_number(g, q):
 # ---------------------------------------------------------------------------
 
 def _essential_local_tables(q, d):
-    """All tables on d inputs that depend essentially on every input."""
-    rows = q**d
-    # past max(64, TABLE_CAP bits) rows q**rows is surely over it: stop there
-    needed = q ** min(rows, max(64, TABLE_CAP.bit_length() + 1))
-    check_bound(f"local tables on {d} inputs", needed, TABLE_CAP, "guesslab.guessing.TABLE_CAP")
+    """All tables on d inputs that depend essentially on every input, from
+    the q**(q**d) candidates, which the caller counts first."""
     return [
         flat
-        for flat in itertools.product(range(q), repeat=rows)
+        for flat in itertools.product(range(q), repeat=q**d)
         if len(_essential_positions(q, d, flat)) == d
     ]
 
@@ -270,19 +264,20 @@ def _strict_exhaustive(g, q):
     # space, so bound the stage-by-stage work, not the raw product
     state_cap_sets = 1 << states if states <= 30 else None
     prev = 1
-    work = 0  # state tests, plus 64-bit words ANDed
-    knob = "guesslab.guessing.COMBO_CAP"
+    # candidate table rows scanned, state tests, and 64-bit words ANDed
+    charge = meter("strict enumeration work", COMBO_CAP, "guesslab.guessing.COMBO_CAP")
     per_vertex = []
     for v in range(g.n):
+        rows = q ** g.in_degree(v)
+        # past max(64, COMBO_CAP bits) rows q**rows is surely over it: stop there
+        charge(q ** min(rows, max(64, COMBO_CAP.bit_length() + 1)) * rows)
         tables = _essential_local_tables(q, g.in_degree(v))
-        work += len(tables) * states  # each table is tested on every state
-        check_bound("strict enumeration work", work, COMBO_CAP, knob)
+        charge(len(tables) * states)  # each table is tested on every state
         masks = {}
         for t, m in zip(tables, _fix_masks(g, q, v, tables)):
             masks.setdefault(m, t)
         per_vertex.append(masks)
-        work += prev * len(masks) * words  # one states-bit AND per combination
-        check_bound("strict enumeration work", work, COMBO_CAP, knob)
+        charge(prev * len(masks) * words)  # one states-bit AND per combination
         prev *= len(masks)
         if state_cap_sets is not None:
             prev = min(prev, state_cap_sets)

@@ -318,15 +318,13 @@ def prove_not_linearly_solvable(g):
     # ends of the removed arc can have turned acyclic
     upper = subset_masks(n, alpha + 1)
     holding = [[m for m in upper if m >> u & m >> v & 1] for u, v in arcs]
-    work = 0
+    charge = params._meter("vertex sets tested by the prover")
 
     def passes(ins, start):
         # True if ins, or a subgraph of it with some of arcs[start:] removed
         # and k still k(G), has only weakly compatible maximum acyclic sets
-        nonlocal work
         hit = _weak_violation(ins, alpha_sets)
-        work += len(alpha_sets) if hit is None else hit + 1
-        check_bound("vertex sets tested by the prover", work, params.WORK_CAP, knob)
+        charge(len(alpha_sets) if hit is None else hit + 1)
         if hit is None:
             return True
         for j in range(start, len(arcs)):
@@ -334,7 +332,7 @@ def prove_not_linearly_solvable(g):
             child = ins.copy()
             child[v] &= ~(1 << u)
             drop = next((i for i, m in enumerate(holding[j]) if _peel(child, m) is not None), None)
-            work += len(holding[j]) if drop is None else drop + 1
+            charge(len(holding[j]) if drop is None else drop + 1)
             if drop is None and passes(child, j + 1):
                 return True
         return False

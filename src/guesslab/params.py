@@ -1,7 +1,7 @@
 """Exact combinatorial parameters of small digraphs.
 
 Everything here is exact branch-and-bound or exhaustive search.  Each
-search counts its work against WORK_CAP, read when it is charged, in
+search counts its work against WORK_CAP, read when it is called, in
 units of at most tens of microseconds, and counts a listing before making
 it; functions built on the searches take no bound of their own.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import _kernels
 from ._bitset import _complement, bits, max_clique, maximal_cliques_containing, subset_masks
 from .digraph import _peel
-from .errors import PreconditionError, check_bound
+from .errors import PreconditionError, check_bound, meter
 
 WORK_CAP = 1 << 20  # units of work per search, and sets per listing
 
@@ -150,15 +150,7 @@ def min_feedback_vertex_sets(g):
 
 def _meter(what):
     """charge(units) for one search: refuses once its units pass WORK_CAP."""
-    work = 0
-
-    def charge(units):
-        nonlocal work
-        work += units
-        if work > WORK_CAP:
-            check_bound(what, work, WORK_CAP, "guesslab.params.WORK_CAP")
-
-    return charge
+    return meter(what, WORK_CAP, "guesslab.params.WORK_CAP")
 
 
 def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):

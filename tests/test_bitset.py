@@ -1,0 +1,142 @@
+"""The max-clique search over an explicit stack, against the recursive
+search it replaced, and on a clique deeper than Python's recursion limit."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from guesslab import params
+from guesslab._bitset import _complement, bits, clique_search
+from guesslab.cli import main
+from guesslab.digraph import Digraph
+from guesslab.errors import ResourceBoundError
+from guesslab.params import acyclic_number
+from guesslab.serialize import emit_dot
+
+
+def recursive_clique_search(adj, universe, seed=0, target=None, orbits=None):
+    """Reference: the same Tomita-style search with one Python call per
+    node, unbounded; (clique, nodes, orbit_pruned) as clique_search."""
+    best = seed
+    greedy = 0
+    cand = universe
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        greedy |= 1 << v
+        cand &= adj[v]
+    if greedy.bit_count() > best.bit_count():
+        best = greedy
+    best_size = best.bit_count()
+    if target is None:
+        target = universe.bit_count() + 1
+    nodes = pruned = 0
+
+    class Stop(Exception):
+        pass
+
+    def expand(r_mask, r_size, p, drop):
+        nonlocal best, best_size, nodes, pruned
+        nodes += 1
+        if p == 0:
+            if r_size > best_size:
+                best, best_size = r_mask, r_size
+                if best_size >= target:
+                    raise Stop
+            return
+        order = []
+        bound = []
+        colour = 0
+        rest = p
+        while rest:
+            colour += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append(v)
+                bound.append(colour)
+                rest &= ~(1 << v)
+                avail &= rest & ~adj[v]
+        for i in range(len(order) - 1, -1, -1):
+            if r_size + bound[i] <= best_size:
+                return
+            v = order[i]
+            if p >> v & 1:
+                expand(r_mask | (1 << v), r_size + 1, p & adj[v], None)
+                p &= ~(1 << v)
+                if drop is not None:
+                    pruned += (p & drop[v]).bit_count()
+                    p &= ~drop[v]
+
+    if best_size < target:
+        try:
+            expand(0, 0, universe, orbits)
+        except Stop:
+            pass
+    return best, nodes, pruned
+
+
+def _orbits(rng, n):
+    """A random partition of range(n), as the block bitmask of each vertex."""
+    label = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+    blocks = {}
+    for v, b in enumerate(label):
+        blocks[b] = blocks.get(b, 0) | 1 << v
+    return [blocks[b] for b in label]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 22), st.sampled_from([0.2, 0.5, 0.8]),
+       st.booleans(), st.booleans(), st.booleans())
+def test_stack_search_matches_the_recursive_one(seed, n, p, with_seed, with_target, with_orbits):
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    universe = sum(1 << v for v in range(n) if rng.random() < 0.9)
+    start = 0
+    if with_seed:  # a clique within universe, grown greedily from a random vertex
+        cand = universe
+        while cand and rng.random() < 0.8:
+            v = rng.choice(list(bits(cand)))
+            start |= 1 << v
+            cand &= adj[v]
+    target = rng.randint(0, n + 1) if with_target else None
+    orbits = _orbits(rng, n) if with_orbits else None
+    want = recursive_clique_search(adj, universe, start, target, orbits)
+    assert clique_search(adj, universe, start, target, orbits) == want
+    # a charge of one unit per node, with no cap, counts the nodes
+    charged = []
+    assert clique_search(adj, universe, start, target, orbits, charged.append) == want
+    assert charged == [1] * want[1]
+
+
+def _star():
+    """1,100 vertices: vertex 0 joined to 2..1099, vertex 1 isolated.  Its
+    maximum independent set, 1..1099, is a clique of 1,099 vertices of the
+    complement, one search frame each."""
+    n = 1100
+    return Digraph.of(n, [(0, v) for v in range(2, n)] + [(v, 0) for v in range(2, n)])
+
+
+def test_star_is_routing_solvable_from_the_cli(capsys, tmp_path):
+    path = tmp_path / "star.dot"
+    path.write_text(emit_dot(_star()))
+    assert main(["solvable", str(path), "--routing", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"routing_solvable": True}
+
+
+def test_star_acyclic_number_and_its_refusal(monkeypatch):
+    g = _star()
+    assert acyclic_number(g) == 1099
+    adj = _complement(params._sym_adj(g), (1 << g.n) - 1)
+    nodes = clique_search(adj, (1 << g.n) - 1)[1]
+    monkeypatch.setattr(params, "WORK_CAP", nodes - 1)
+    with pytest.raises(ResourceBoundError) as exc:
+        acyclic_number(g)
+    assert (exc.value.needed, exc.value.knob) == (nodes, "guesslab.params.WORK_CAP")

@@ -3,14 +3,18 @@ error naming the quantity, the size, the cap and the knob.
 
 Sizes known from the input are counted before any work: tabulated states
 and rows (coding.STATE_LIMIT), mindim's vertices (coding.MINDIM_LIMIT),
-conflict states, local tables, strict-enumeration work and witness rows
-(guessing), coefficient matrices (linear.SEARCH_CAP), and every listing
-or sweep under params.WORK_CAP: the prover's and the certificate's vertex
-sets, all maximum acyclic sets, and the in-dominating subsets.  The work
-only a search can know is counted as it runs, against params.WORK_CAP:
-the guessing search's nodes, each search in params with the listings
-inside it (maximal cliques, cycles through a vertex), charged before
-they grow, and the sets the prover's sweep tests."""
+conflict states and witness rows (guessing), coefficient matrices
+(linear.SEARCH_CAP), and every listing or sweep under params.WORK_CAP:
+the prover's and the certificate's vertex sets, all maximum acyclic
+sets, and the in-dominating subsets.  The work only a search can know is
+charged as it runs to a meter (errors.meter) made when the search is
+called: against params.WORK_CAP, the max-clique search's nodes (one meter
+over all the guessing search's components), each search in params with
+the listings inside it (maximal cliques, cycles through a vertex),
+charged before they grow, and the sets the prover's sweep tests and
+scans; against guessing.COMBO_CAP, the strict enumeration's candidate
+table rows, counted before they are listed, its state tests and its
+mask ANDs.  No search recurses deeper than its bound allows."""
 
 import ast
 import math
@@ -91,6 +95,25 @@ def test_one_refusal_site():
     assert text.count("raise ResourceBoundError") == 1
 
 
+def test_recursion_inventory():
+    # every function that calls itself, so that a search whose depth grows
+    # with its input, and ends in RecursionError, shows up here as a diff
+    src = pathlib.Path(guesslab.__file__).parent
+    recursive = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == fn.name
+                for node in ast.walk(fn)
+            ):
+                recursive.add(f"{path.stem}.{fn.name}")
+    assert recursive == {
+        "coding.visit",  # mindim: depth at most coding.MINDIM_LIMIT vertices
+        "linear.passes",  # the prover: each level removes an arc past the last
+        "params.rec",  # directed acyclic set: each level charges at least its mask's size
+    }
+
+
 @pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
 def test_routing_searches_refuse_past_the_cycle_cap(monkeypatch, search):
     # both pack the disjoint cycles first, which takes 2,547 units of work here
@@ -102,14 +125,15 @@ def test_routing_searches_refuse_past_the_cycle_cap(monkeypatch, search):
 
 
 def test_strict_refuses_before_building_masks(monkeypatch):
-    # C24 at q = 2: two tables per vertex, each tested on 2**24 states
+    # C24 at q = 2: the 2**2 candidate tables of vertex 0 on 2 rows each,
+    # then its two essential tables, each tested on 2**24 states
     def built(*_):
         raise AssertionError("masks built")
 
     monkeypatch.setattr(guessing, "_fix_masks", built)
     with pytest.raises(ResourceBoundError) as exc:
         guessing.strict_guessing_number(named("C", 24).graph, 2)
-    assert exc.value.needed == 2 * 2**24 > exc.value.cap and exc.value.knob
+    assert exc.value.needed == 2**2 * 2 + 2 * 2**24 > exc.value.cap and exc.value.knob
 
 
 def test_max_matching_refuses_past_its_cap(monkeypatch):
@@ -210,9 +234,11 @@ def test_prover_work_bound_reaches_the_cli(capsys, tmp_path, monkeypatch):
 
 
 def _check_bound_knobs(tree):
-    """(knob, bound) of each check_bound call in a module's functions: the
-    knob is a string literal or the function's local `knob`, and the bound
-    is the source of the expression passed as the cap."""
+    """(knob, bound) of each check_bound(what, needed, bound, knob) and
+    meter(what, bound, knob) call in a module's functions: the knob is a
+    string literal or the function's local `knob`, and the bound is the
+    source of the expression passed as the cap.  A call that passes on a
+    knob its function was given (errors.meter's) names none."""
     fns = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     fns += [m for n in tree.body if isinstance(n, ast.ClassDef) for m in n.body
             if isinstance(m, ast.FunctionDef)]
@@ -224,11 +250,15 @@ def _check_bound_knobs(tree):
             for t in n.targets
             if isinstance(t, ast.Name)
         }
+        given = {a.arg for a in fn.args.args}
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_bound":
-                arg = node.args[3]
+            name = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+            if name in ("check_bound", "meter"):
+                *_, bound, arg = node.args
+                if getattr(arg, "id", None) in given:
+                    continue
                 knob = local[arg.id] if isinstance(arg, ast.Name) else arg.value
-                yield knob, ast.unparse(node.args[2])
+                yield knob, ast.unparse(bound)
 
 
 def test_knob_inventory():
@@ -272,7 +302,6 @@ KNOBS = {
     "coding.MINDIM_LIMIT",
     "guessing.COMBO_CAP",
     "guessing.STATE_CAP",
-    "guessing.TABLE_CAP",
     "guessing.WITNESS_ROW_CAP",
     "linear.SEARCH_CAP",
     "params.WORK_CAP",
@@ -284,8 +313,9 @@ KNOB_CALLS = [
     ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), (64, None)),
     ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), 1),
     ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, 2),
-    ("guessing.TABLE_CAP", 4, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
-    ("guessing.COMBO_CAP", 62, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
+    # 3 vertices of in-degree 1, each with 4 candidate tables of 2 rows and
+    # 2 essential tables tested on 8 states; then 2, 4 and 8 one-word ANDs
+    ("guessing.COMBO_CAP", 86, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
     ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, 3),
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
     # c = 3 < k = 4 and gn = 10: the clique search runs to the end
@@ -329,7 +359,7 @@ WORK_CALLS = [
     ("all_max_acyclic_sets", 10, lambda: len(all_max_acyclic_sets(undirected_cycle(5))), 5),
     # 2**5 subsets, counted before the sweep
     ("in_dominating_counts", 32, lambda: in_dominating_counts(directed_cycle(5)), (0, 0, 0, 5, 5, 1)),
-    ("prove_not_linearly_solvable", 127, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
+    ("prove_not_linearly_solvable", 135, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
      linear.NOT_LINEARLY_SOLVABLE),
     ("weak_compat_certificate", 31, lambda: weak_compat_certificate(gk_family(3)),
      linear.Certificate(linear.NOT_STRICTLY_LINEARLY_SOLVABLE, frozenset({0, 1}))),

@@ -1,10 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
-from guesslab import coding
+from guesslab import _kernels, coding
 from guesslab.coding import (
     CodingFunction,
     count_fixed_points,
@@ -298,6 +299,21 @@ def test_reduce_set_equals_every_fold(f):
         target = reduce_set(f, sub)
         for perm in itertools.permutations(sub):
             assert reduce_sequence(f, perm) == target, perm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(coding_functions())
+def test_substitution_in_blocks_of_rows(f):
+    # four rows decoded at a time give the same tables as one block
+    subs = acyclic_subsets(interaction_graph(f))
+
+    def results():
+        return ([reduce_vertex(f, v) for v in range(f.n)], [reduce_set(f, s) for s in subs],
+                [cumulative(f, s) for s in subs])
+
+    want = results()
+    with mock.patch.object(_kernels, "STATE_BLOCK", 4):
+        assert results() == want
 
 
 def test_reduce_sequence_label_errors():
