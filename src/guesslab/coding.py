@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, params
 from .digraph import Digraph, _compact_map, _fold_reductions, topological_order
 from .errors import PreconditionError, VertexRangeError, check_bound
 
 STATE_LIMIT = 1 << 24
-MINDIM_LIMIT = 12
 
 
 def _axis_runs(q, d, table, p):
@@ -166,17 +165,18 @@ def _eliminate(f, cum):
 
 
 def reduce_vertex(f, v):
-    """v-reduction: substitute f_v for x_v everywhere, drop v.
+    """v-reduction: substitute f_v for x_v everywhere, drop v; that is
+    reduce_set(f, {v}).
 
     Returns (reduced function, old-to-new map); if v is looped in G(f) the
-    function comes back unchanged with the identity map.
+    function comes back canonical with the identity map.
     """
     if not (0 <= v < f.n):
         raise VertexRangeError(f"vertex {v} out of range")
-    f = f.canonicalize()
-    if v in f.supports[v]:
-        return f, {u: u for u in range(f.n)}
-    return _eliminate(f, {v: Local(f.supports[v], f.tables[v])})
+    sup = f.supports[v]
+    if v in sup and sup.index(v) in _essential_positions(f.q, len(sup), f.tables[v]):
+        return f.canonicalize(), {u: u for u in range(f.n)}
+    return reduce_set(f, {v})
 
 
 def reduce_sequence(f, seq):
@@ -243,8 +243,12 @@ def is_nondecreasing(f):
 
 
 def mindim(f):
-    """Minimum dimension over all reduced forms of f."""
-    check_bound("vertices for mindim", f.n, MINDIM_LIMIT, "guesslab.coding.MINDIM_LIMIT")
+    """Minimum dimension over all reduced forms of f.
+
+    Each distinct reduced form visited charges params.WORK_CAP 1 plus the
+    rows of its tables.  Counting the fixed points first caps q**n by
+    STATE_LIMIT, and with it the depth n of the search.
+    """
     fix = count_fixed_points(f)
     floor = 0
     while f.q**floor < fix:
@@ -252,6 +256,7 @@ def mindim(f):
     start = f.canonicalize()
     best = start.n
     seen = set()
+    charge = params._meter("mindim reduced forms and rows")
 
     def visit(h):
         nonlocal best
@@ -261,6 +266,7 @@ def mindim(f):
         if key in seen:
             return
         seen.add(key)
+        charge(1 + sum(map(len, h.tables)))
         loop_free = [v for v in range(h.n) if v not in h.supports[v]]
         if not loop_free:
             best = min(best, h.n)

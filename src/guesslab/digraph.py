@@ -149,7 +149,8 @@ def _compact_map(n, removed):
 
 
 def reduce_vertex(g, v):
-    """Vertex reduction: contract the loop-free vertex v through its arcs.
+    """Vertex reduction: contract the loop-free vertex v through its arcs,
+    which is reduce_set(g, {v}).
 
     Returns (reduced graph, old-to-new label map).  If v carries a loop the
     graph is returned unchanged with the identity map, by convention.
@@ -157,12 +158,7 @@ def reduce_vertex(g, v):
     g.check_vertex(v)
     if g.has_loop(v):
         return g, {u: u for u in range(g.n)}
-    m = _compact_map(g.n, {v})
-    ins = list(bits(g._in[v]))
-    outs = list(bits(g._out[v]))
-    arcs = {(m[u], m[w]) for u, w in g.arcs if u != v and w != v}
-    arcs.update((m[u], m[w]) for u in ins for w in outs)
-    return Digraph.of(g.n - 1, arcs), m
+    return reduce_set(g, {v})
 
 
 def _fold_reductions(obj, seq, reduce_step):

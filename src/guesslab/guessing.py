@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, params
+from . import _kernels, coding, params
 from ._bitset import _complement, bits, clique_search
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
@@ -21,7 +21,6 @@ from .params import acyclic_number, in_dominating_counts, max_disjoint_cycles
 
 STATE_CAP = 4096
 COMBO_CAP = 1 << 22
-WITNESS_ROW_CAP = 1 << 20  # rows over all loop-full witness tables
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,18 @@ def guessing_number(g, q):
     starts from the routing fixed points inside it, and the search stops
     once 1 plus the components' incumbents reaches q**k.  For q >= 3, once
     the root of a component has branched on a state, the states with its
-    support leave that root (see _root_orbits).  The search nodes, over
-    all components, count against params.WORK_CAP.
+    support leave that root (see _root_orbits).  The q**n states of the
+    conflict graph count against STATE_CAP, and the search nodes, over all
+    components, against params.WORK_CAP.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
-    check_bound(f"conflict states, {q}**{g.n}", q**g.n, STATE_CAP, "guesslab.guessing.STATE_CAP")
     k = g.n - acyclic_number(g)
     c, cycles = max_disjoint_cycles(g)
     if c == k:
         stats = SearchStats("routing-sandwich", c, k, closed_by="sandwich")
         return GuessingReport(g, q, "g", q**k, _routing(g, q, cycles), stats.method, stats)
+    check_bound(f"conflict states, {q}**{g.n}", q**g.n, STATE_CAP, "guesslab.guessing.STATE_CAP")
     digs = _kernels._digits(np.arange(q**g.n), g.n, q)
     clash = np.zeros(len(digs), dtype=bool)  # the difference conflicts with 0
     for v in range(g.n):
@@ -326,7 +326,7 @@ def loopfull_witness(g_loopless, q):
     n = g_loopless.n
     sups = tuple(tuple(sorted({v, *g_loopless.in_neighbors(v)})) for v in range(n))
     rows = sum(q ** len(sup) for sup in sups)
-    check_bound("witness table rows", rows, WITNESS_ROW_CAP, "guesslab.guessing.WITNESS_ROW_CAP")
+    check_bound("witness table rows", rows, coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     tabs = []
     for v, sup in enumerate(sups):
         tab = _kernels._digits(np.arange(q ** len(sup)), len(sup), q)[:, sup.index(v)]
@@ -367,18 +367,11 @@ def routing_witness(g, q):
 
 
 def _routing(g, q, cycles):
-    """routing_witness along the given vertex-disjoint cycles."""
-    pred = {}
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            pred[v] = cyc[i - 1]
-    sups = []
-    tabs = []
-    for v in range(g.n):
-        if v in pred:
-            sups.append((pred[v],))
-            tabs.append(tuple(range(q)))
-        else:
-            sups.append(())
-            tabs.append((0,))
-    return CodingFunction(g.n, q, tuple(sups), tuple(tabs))
+    """routing_witness along the given vertex-disjoint cycles; the q rows of
+    each cycle vertex's table count against coding.STATE_LIMIT."""
+    check_bound(f"routing table rows, {q} per cycle vertex", q * sum(map(len, cycles)),
+                coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    pred = {v: cyc[i - 1] for cyc in cycles for i, v in enumerate(cyc)}
+    sups = tuple((pred[v],) if v in pred else () for v in range(g.n))
+    tabs = tuple(tuple(range(q)) if v in pred else (0,) for v in range(g.n))
+    return CodingFunction(g.n, q, sups, tabs)

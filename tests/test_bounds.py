@@ -1,9 +1,11 @@
 """The bound policy: every exact search refuses through one check, with an
 error naming the quantity, the size, the cap and the knob.
 
-Sizes known from the input are counted before any work: tabulated states
-and rows (coding.STATE_LIMIT), mindim's vertices (coding.MINDIM_LIMIT),
-conflict states and witness rows (guessing), coefficient matrices
+There are five knobs, one per resource.  Sizes known from the input are
+counted before any work: tabulated states and rows (coding.STATE_LIMIT:
+fixed points, substitutions, the loop-full and routing witnesses), the
+conflict graph's states (guessing.STATE_CAP, checked only once the
+sandwich q**c <= answer <= q**k leaves a gap), coefficient matrices
 (linear.SEARCH_CAP), and every listing or sweep under params.WORK_CAP:
 the prover's and the certificate's vertex sets, all maximum acyclic
 sets, and the in-dominating subsets.  The work only a search can know is
@@ -11,10 +13,12 @@ charged as it runs to a meter (errors.meter) made when the search is
 called: against params.WORK_CAP, the max-clique search's nodes (one meter
 over all the guessing search's components), each search in params with
 the listings inside it (maximal cliques, cycles through a vertex),
-charged before they grow, and the sets the prover's sweep tests and
-scans; against guessing.COMBO_CAP, the strict enumeration's candidate
-table rows, counted before they are listed, its state tests and its
-mask ANDs.  No search recurses deeper than its bound allows."""
+charged before they grow, the sets the prover's sweep tests and scans,
+and mindim's reduced forms with their table rows; against
+guessing.COMBO_CAP, the strict enumeration's candidate table rows,
+counted before they are listed, its state tests and its mask ANDs.  No
+search is refused by vertex count, and none recurses deeper than its
+bound allows."""
 
 import ast
 import math
@@ -35,7 +39,6 @@ from guesslab.errors import ResourceBoundError, check_bound
 from guesslab.guessing import (
     guessing_number,
     is_routing_solvable,
-    loopfull_witness,
     routing_witness,
     strict_guessing_number,
 )
@@ -108,7 +111,7 @@ def test_recursion_inventory():
             ):
                 recursive.add(f"{path.stem}.{fn.name}")
     assert recursive == {
-        "coding.visit",  # mindim: depth at most coding.MINDIM_LIMIT vertices
+        "coding.visit",  # mindim: depth at most n, and q**n <= coding.STATE_LIMIT
         "linear.passes",  # the prover: each level removes an arc past the last
         "params.rec",  # directed acyclic set: each level charges at least its mask's size
     }
@@ -299,10 +302,8 @@ def test_knob_inventory():
 
 KNOBS = {
     "coding.STATE_LIMIT",
-    "coding.MINDIM_LIMIT",
     "guessing.COMBO_CAP",
     "guessing.STATE_CAP",
-    "guessing.WITNESS_ROW_CAP",
     "linear.SEARCH_CAP",
     "params.WORK_CAP",
 }
@@ -311,12 +312,11 @@ KNOBS = {
 # knob, what one call needs of it, the call, and what the call returns
 KNOB_CALLS = [
     ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), (64, None)),
-    ("coding.MINDIM_LIMIT", 4, lambda: mindim(min_net(directed_cycle(4), 2)), 1),
-    ("guessing.STATE_CAP", 32, lambda: guessing_number(directed_cycle(5), 2).max_fix, 2),
+    # K3: c = 1 < k = 2, so the conflict graph is built on its 2**3 states
+    ("guessing.STATE_CAP", 8, lambda: guessing_number(complete_graph(3), 2).max_fix, 4),
     # 3 vertices of in-degree 1, each with 4 candidate tables of 2 rows and
     # 2 essential tables tested on 8 states; then 2, 4 and 8 one-word ANDs
     ("guessing.COMBO_CAP", 86, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
-    ("guessing.WITNESS_ROW_CAP", 12, lambda: loopfull_witness(directed_cycle(3), 2).n, 3),
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
     # c = 3 < k = 4 and gn = 10: the clique search runs to the end
     ("params.WORK_CAP", 23273, lambda: guessing_number(gk_family(4), 2).max_fix, 10),
@@ -363,6 +363,8 @@ WORK_CALLS = [
      linear.NOT_LINEARLY_SOLVABLE),
     ("weak_compat_certificate", 31, lambda: weak_compat_certificate(gk_family(3)),
      linear.Certificate(linear.NOT_STRICTLY_LINEARLY_SOLVABLE, frozenset({0, 1}))),
+    # 1 per reduced form plus its rows: 4, 3, 2 and 1 vertices of 2 rows each
+    ("mindim", 24, lambda: mindim(min_net(directed_cycle(4), 2)), 1),
 ]
 
 
@@ -436,9 +438,8 @@ def test_graph_params_of_the_aim_graphs_at_default_caps():
     assert graph_params(grotzsch_graph()) == GraphParams(k=6, alpha=5, c=5, mu=5, cp=6, isolated=0)
 
 
-def test_guessing_on_thirteen_isolated_vertices_takes_the_sandwich(monkeypatch):
-    # c = k = 0 whatever the size, so raising the state cap alone is enough
-    monkeypatch.setattr(guessing, "STATE_CAP", 2**13)
+def test_guessing_on_thirteen_isolated_vertices_takes_the_sandwich():
+    # c = k = 0 whatever the size: 2**13 states, over STATE_CAP, are never built
     rep = guessing_number(Digraph.of(13, []), 2)
     assert rep.max_fix == 1 and rep.method == "routing-sandwich"
     assert (rep.stats.c, rep.stats.k) == (0, 0)
@@ -467,5 +468,26 @@ def test_loopfull_witness_refuses_by_table_rows():
     k20 = complete_graph(20)
     with pytest.raises(ResourceBoundError) as exc:
         guessing.loopfull_witness(k20, 3)
-    assert exc.value.needed == 20 * 3**20 > exc.value.cap == guessing.WITNESS_ROW_CAP
-    assert exc.value.knob == "guesslab.guessing.WITNESS_ROW_CAP"
+    assert exc.value.needed == 20 * 3**20 > exc.value.cap == coding.STATE_LIMIT
+    assert exc.value.knob == "guesslab.coding.STATE_LIMIT"
+
+
+@pytest.mark.parametrize("call", [lambda g, q: guessing_number(g, q).max_fix, routing_witness],
+                         ids=["sandwich", "routing_witness"])
+def test_routing_refuses_by_table_rows_before_building_any(monkeypatch, call):
+    # C3 at q = 10**8: c = k = 1, and routing would tabulate 3 rows of 10**8
+    def built(*_):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(guessing, "CodingFunction", built)
+    monkeypatch.setattr(_kernels, "_digits", built)
+    with pytest.raises(ResourceBoundError) as exc:
+        call(directed_cycle(3), 10**8)
+    assert exc.value.needed == 3 * 10**8 > exc.value.cap == coding.STATE_LIMIT
+    assert exc.value.knob == "guesslab.coding.STATE_LIMIT"
+
+
+def test_mindim_of_the_thirteen_vertex_identity_at_default_caps():
+    # every vertex is looped, so no reduction applies: one reduced form
+    ident = CodingFunction(13, 2, tuple((v,) for v in range(13)), ((0, 1),) * 13)
+    assert mindim(ident) == 13

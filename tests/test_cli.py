@@ -1,10 +1,13 @@
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from guesslab import cli, params
+from guesslab import cli, guessing, params
 from guesslab.cli import main
 from guesslab.constructions import clebsch_graph
 from guesslab.digraph import Digraph, symmetrized
@@ -55,6 +58,44 @@ def test_guess_json_sandwich(capsys, tmp_path):
     assert code == 0 and data["max_fix"] == 64 and data["method"] == "routing-sandwich"
     assert data["stats"] == {"method": "routing-sandwich", "nodes": 0, "orbit_pruned": 0,
                              "closed_by": "sandwich", "c": 6, "k": 6}
+
+
+@pytest.mark.parametrize("command", ["guess", "solvable"])
+def test_c14u_over_the_state_cap_takes_the_sandwich(capsys, monkeypatch, tmp_path, command):
+    # C14u: 2**14 states are over STATE_CAP, but c = k = 7 decides it first
+    def built(*_):
+        raise AssertionError("conflict graph built")
+
+    monkeypatch.setattr(guessing, "_conflict_rows", built)
+    path = tmp_path / "c14.dot"
+    path.write_text(emit_dot(undirected_cycle(14)))
+    code, out, _ = run_cli(capsys, [command, str(path), "-q", "2", "--json"])
+    data = json.loads(out)
+    assert code == 0
+    if command == "guess":
+        assert data["max_fix"] == 2**7 and data["method"] == "routing-sandwich"
+        assert data["stats"]["nodes"] == 0 and (data["stats"]["c"], data["stats"]["k"]) == (7, 7)
+    else:
+        assert data == {"solvable": True, "q": 2, "k": 7}
+
+
+def _readme_pipelines():
+    """The `guesslab construct ... | guesslab ...` lines of README's command block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("guesslab construct") and "|" in line]
+
+
+@pytest.mark.parametrize("line", _readme_pipelines())
+def test_readme_pipelines(capsys, monkeypatch, line):
+    # each exits as its comment says (`# exits 1`), or 0 without one
+    command, _, comment = line.partition("#")
+    want = int(re.fullmatch(r" exits (\d)", comment)[1]) if comment else 0
+    first, second = (shlex.split(part)[1:] for part in command.split("|"))
+    code, out, _ = run_cli(capsys, first)
+    assert code == 0
+    code, _, _ = run_cli(capsys, second, stdin=out, monkeypatch=monkeypatch)
+    assert code == want
 
 
 def test_guess_missing_file(capsys):
@@ -216,10 +257,12 @@ def test_construct_families(capsys, monkeypatch):
 
 
 def test_resource_bound_exit(capsys, monkeypatch):
+    # K3 plus 10 isolated vertices: c = 1 < k = 2, so the 2**13 states are needed
+    k3 = complete_graph(3)
     code, _, err = run_cli(
         capsys,
         ["guess", "-", "-q", "2"],
-        stdin=emit_dot(parse('{"n": 13, "arcs": []}')),
+        stdin=emit_dot(Digraph.of(13, k3.arcs)),
         monkeypatch=monkeypatch,
     )
     assert code == 3

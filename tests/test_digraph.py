@@ -70,6 +70,26 @@ def test_reduce_vertex_out_of_range():
         reduce_vertex(Digraph.of(2, []), 5)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_reduce_vertex_matches_its_definition(g):
+    # arc (u, w) iff u -> w or u -> v -> w, the survivors compacted in order
+    for v in range(g.n):
+        reduced, relabel = reduce_vertex(g, v)
+        if g.has_loop(v):
+            assert (reduced, relabel) == (g, {u: u for u in range(g.n)})
+            continue
+        keep = [u for u in range(g.n) if u != v]
+        assert relabel == {u: i for i, u in enumerate(keep)}
+        want = {
+            (relabel[u], relabel[w])
+            for u in keep
+            for w in keep
+            if g.has_arc(u, w) or (g.has_arc(u, v) and g.has_arc(v, w))
+        }
+        assert reduced == Digraph.of(g.n - 1, want)
+
+
 def test_reduce_set_fig1():
     g = fig1_graph()
     reduced, relabel = reduce_set(g, {2, 3})

@@ -221,8 +221,10 @@ def test_guessing_matches_brute_force_small():
 
 
 def test_guessing_state_cap():
+    # K3 plus 10 isolated vertices: c = 1 < k = 2, so the search needs all
+    # 2**13 states; 13 isolated vertices alone are answered by the sandwich
     with pytest.raises(ResourceBoundError) as exc:
-        guessing_number(Digraph.of(13, []), 2)
+        guessing_number(Digraph.of(13, complete_graph(3).arcs), 2)
     assert exc.value.needed == 2**13 > exc.value.cap == 4096 and exc.value.knob
 
 
