@@ -170,6 +170,8 @@ def _cmd_linear(args):
         "max_fix": report.max_fix,
         "dim": report.dim,
         "witness": [list(r) for r in report.witness.rows] if report.witness else None,
+        "scanned": report.scanned,
+        "closed_by": report.closed_by,
     }
     _report(
         args,
@@ -178,6 +180,7 @@ def _cmd_linear(args):
             f"max |Fix| = {report.max_fix}",
             f"dimension = {report.dim}",
             f"witness rows = {payload['witness']}",
+            f"scanned = {report.scanned} ({report.closed_by})",
         ],
     )
     return EXIT_OK

@@ -93,6 +93,8 @@ class LinearReport:
     max_fix: int
     dim: int | None
     witness: LinearCodingFunction | None
+    scanned: int  # gauge-fixed matrices ranked or tabulated
+    closed_by: str  # "stop-rule" (max_fix reached q**k) or "exhausted"
 
     @property
     def value(self):
@@ -122,17 +124,27 @@ def count_fixed_linear(f):
     return count_fixed_points(f.to_coding_function()), None
 
 
+def _ramp(total):
+    """(lo, hi) ranges that cover 0..total in order, their sizes doubling from
+    SEARCH_BATCH >> 5 up to SEARCH_BATCH, so a scan that stops early stops
+    soon after the range that holds its answer."""
+    lo, size = 0, SEARCH_BATCH >> 5
+    while lo < total:
+        yield lo, min(lo + size, total)
+        lo, size = lo + size, min(2 * size, SEARCH_BATCH)
+
+
 def _pattern_blocks(arcs, n, mode, phi):
     """(present, free) bool arrays, a row per zero pattern and a column per
-    arc, SEARCH_BATCH patterns a block.  Mode "g" walks every subset of arcs
-    ascending, arcs[0] the most significant bit; mode "h" has arcs as its one
-    pattern.  free marks the present arcs off the pattern's greedy spanning
-    forest, grown in arc order with a component label per vertex and row
-    (loops never join it); with one unit (q = 2) every present arc is free."""
+    arc, in _ramp blocks.  Mode "g" walks every subset of arcs ascending,
+    arcs[0] the most significant bit; mode "h" has arcs as its one pattern.
+    free marks the present arcs off the pattern's greedy spanning forest,
+    grown in arc order with a component label per vertex and row (loops
+    never join it); with one unit (q = 2) every present arc is free."""
     m = len(arcs)
-    for lo in range(0, 1 << m if mode == "g" else 1, SEARCH_BATCH):
+    for lo, hi in _ramp(1 << m if mode == "g" else 1):
         if mode == "g":
-            codes = np.arange(lo, min(lo + SEARCH_BATCH, 1 << m), dtype=">u8").view(np.uint8)
+            codes = np.arange(lo, hi, dtype=">u8").view(np.uint8)
             present = np.unpackbits(codes.reshape(-1, 8), axis=1)[:, 64 - m :].view(bool)
         else:
             present = np.ones((1, m), dtype=bool)
@@ -149,7 +161,7 @@ def _pattern_blocks(arcs, n, mode, phi):
 
 def _coefficient_batches(present, free, phi, unit):
     """Coefficients on the arcs of a block's gauge-fixed matrices in unit's
-    dtype, SEARCH_BATCH a batch: forest arcs carry 1, absent arcs 0, and each
+    dtype, in _ramp batches: forest arcs carry 1, absent arcs 0, and each
     pattern's free arcs count up through the units, the first most significant."""
     if phi == 1:  # one matrix per pattern, so the block is one batch
         yield present.astype(unit.dtype)
@@ -159,8 +171,8 @@ def _coefficient_batches(present, free, phi, unit):
     counts = phi ** free.sum(axis=1)
     starts = np.cumsum(counts) - counts
     total = int(counts.sum())
-    for lo in range(0, total, SEARCH_BATCH):
-        k = np.arange(lo, min(lo + SEARCH_BATCH, total), dtype=np.int64)
+    for lo, hi in _ramp(total):
+        k = np.arange(lo, hi, dtype=np.int64)
         p = np.searchsorted(starts, k, side="right") - 1
         digits = (k - starts[p])[:, None] // place[p] % phi
         yield np.where(free[p], unit[digits], present[p])
@@ -185,6 +197,14 @@ def linear_guessing(g, q, mode="g"):
     first sorted arc as the most significant bit.  The gauge-fixed count
     (times q**n states for composite q) is refused over SEARCH_CAP before
     any rank is taken; mode "g" checks its 2**arcs patterns first.
+
+    No coding function on g fixes more than q**k states, k the feedback
+    number, so the scan stops after the batch whose best count reaches
+    q**k (closed_by "stop-rule").  Batches ramp from 1,024 matrices up to
+    SEARCH_BATCH, so the stop lands near the first such matrix; the scan
+    order is unchanged, so the witness is the same first maximiser as a
+    full scan's.  params.feedback_number runs before the scan, charging
+    params.WORK_CAP for its acyclic-set search.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
@@ -198,35 +218,46 @@ def linear_guessing(g, q, mode="g"):
     knob = "guesslab.linear.SEARCH_CAP"
     patterns = 1 << m if mode == "g" else 1
     check_bound(f"coefficient patterns, 2**{m}", patterns, SEARCH_CAP, knob)
-    # a single block of patterns is labelled once, for both the count and the scan
-    kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
-    hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
-               for _, free in kept or _pattern_blocks(arcs, n, mode, phi))
-    total = sum(int(c) * phi**k for k, c in enumerate(hist))
+    if phi == 1:  # every present arc is free and has one unit: a matrix per pattern
+        kept, total = None, patterns
+    else:
+        # a few blocks of patterns are labelled once, for both the count and the scan
+        kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
+        hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
+                   for _, free in kept or _pattern_blocks(arcs, n, mode, phi))
+        total = sum(int(c) * phi**k for k, c in enumerate(hist))
     # composite q enumerates all q**n states of every matrix
     what, needed = ("gauge-fixed coefficient matrices", total) if prime else (
         "gauge-fixed matrix states", total * q**n)
     check_bound(what, needed, SEARCH_CAP, knob)
+    bound = q ** params.feedback_number(g)
     # list the units only if some arc is free: a forest at a huge prime q needs none
     unit = np.array(units(q) if total > patterns else (1,), dtype=dt)
     tails, heads = np.array(arcs, dtype=np.intp).reshape(m, 2).T
     minus_identity = np.eye(n, dtype=dt) * (q - 1)  # loops add to it; ranks read mod q
     best = 0, None, None  # fixed points as a Python int (q**dim can pass int64), dim, vals
-    for present, free in kept or _pattern_blocks(arcs, n, mode, phi):
-        for vals in _coefficient_batches(present, free, phi, unit):
-            if prime:
-                mats = np.repeat(minus_identity[None], len(vals), axis=0)
-                mats[:, heads, tails] += vals
-                dims = n - _kernels.modular_ranks(mats, q)
-                idx = int(np.argmax(dims))
-                fix, dim = q ** int(dims[idx]), int(dims[idx])
-            else:
-                fixes = [count_fixed_linear(_coefficient_function(v, arcs, n, q))[0] for v in vals]
-                idx = int(np.argmax(fixes))
-                fix, dim = fixes[idx], None
-            if fix > best[0]:
-                best = fix, dim, vals[idx]
-    return LinearReport(g, q, mode, *best[:2], _coefficient_function(best[2], arcs, n, q))
+    scanned, closed_by = 0, "exhausted"
+    batches = (vals for present, free in kept or _pattern_blocks(arcs, n, mode, phi)
+               for vals in _coefficient_batches(present, free, phi, unit))
+    for vals in batches:
+        if prime:
+            mats = np.repeat(minus_identity[None], len(vals), axis=0)
+            mats[:, heads, tails] += vals
+            dims = n - _kernels.modular_ranks(mats, q)
+            idx = int(np.argmax(dims))
+            fix, dim = q ** int(dims[idx]), int(dims[idx])
+        else:
+            fixes = [count_fixed_linear(_coefficient_function(v, arcs, n, q))[0] for v in vals]
+            idx = int(np.argmax(fixes))
+            fix, dim = fixes[idx], None
+        scanned += len(vals)
+        if fix > best[0]:
+            best = fix, dim, vals[idx]
+        if best[0] == bound:
+            closed_by = "stop-rule"
+            break
+    witness = _coefficient_function(best[2], arcs, n, q)
+    return LinearReport(g, q, mode, *best[:2], witness, scanned, closed_by)
 
 
 def linear_reduce(f, vertices):

@@ -179,6 +179,17 @@ def test_linear_report(capsys, monkeypatch):
     assert code == 0 and "max |Fix| = 4" in out
 
 
+def test_linear_json_reports_how_the_scan_closed(capsys, monkeypatch):
+    # K3 over GF(2) reaches 2**k only at its last pattern, all ones: the
+    # scan ranks all 64 and closes on the stop rule
+    code, out, _ = run_cli(
+        capsys, ["linear", "-", "-q", "2", "--json"], stdin=emit_dot(complete_graph(3)), monkeypatch=monkeypatch
+    )
+    data = json.loads(out)
+    assert code == 0 and data["max_fix"] == 4
+    assert (data["scanned"], data["closed_by"]) == (64, "stop-rule")
+
+
 def test_compat_exit_codes(capsys, monkeypatch):
     from guesslab.constructions import fig6_graph
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from guesslab import _kernels, linear, params
 from guesslab.coding import count_fixed_points, interaction_graph
 from guesslab.coding import reduce_set as table_reduce_set
-from guesslab.constructions import clique_solution, fig6_graph, gk_family
+from guesslab.constructions import clique_solution, fig6_graph, gk_family, named
 from guesslab.digraph import (
     Digraph,
     add_loops,
@@ -211,6 +211,44 @@ def test_gauge_fixed_search_matches_the_plain_scan(g, q, mode):
     assert all(rep.witness.rows[i][u] == 1 for u, i in greedy_forest(support))
     if q == 2:
         assert rep.witness == first
+
+
+@pytest.mark.parametrize(
+    "g, scanned",
+    [
+        # first maximiser at pattern 4,614: in the third batch (1,024 + 2,048 + 4,096)
+        (named("K", 2, 4).graph, 7168),
+        # first maximiser at pattern 21,958: in the fifth batch, of 16,384
+        (Digraph.of(5, complete_graph(5).arcs - {(0, 1), (1, 0), (2, 3), (3, 2)}), 31744),
+    ],
+    ids=["K2,4", "K5-2e"],
+)
+def test_stop_rule_keeps_the_first_maximiser_past_the_first_batch(g, scanned):
+    max_fix, dim, first = plain_linear_guessing(g, 2, "g")
+    rep = linear_guessing(g, 2, "g")
+    assert max_fix == 2 ** feedback_number(g)
+    assert (rep.max_fix, rep.dim, rep.witness) == (max_fix, dim, first)
+    assert rep.closed_by == "stop-rule" and rep.scanned == scanned < 2**16
+
+
+def test_scan_below_the_feedback_bound_runs_to_the_end():
+    # C5u over GF(3) reaches 9 < 3**3, so every gauge-fixed matrix is ranked
+    rep = linear_guessing(undirected_cycle(5), 3, "g")
+    assert rep.max_fix == 9 < 3 ** feedback_number(undirected_cycle(5))
+    assert rep.closed_by == "exhausted" and rep.scanned == 4149
+
+
+def test_q2_refuses_its_patterns_before_any_rank(monkeypatch):
+    # q = 2 labels no forest, so only the pattern count stands before the ranks
+    def ranked(*_):
+        raise AssertionError("rank taken")
+
+    monkeypatch.setattr(_kernels, "modular_ranks", ranked)
+    g = complete_graph(6)
+    assert 2 ** len(g.arcs) > linear.SEARCH_CAP
+    with pytest.raises(ResourceBoundError) as exc:
+        linear_guessing(g, 2, "g")
+    assert exc.value.knob == "guesslab.linear.SEARCH_CAP" and exc.value.needed == 2**30
 
 
 def test_strict_witness_support_is_exact():
