@@ -36,7 +36,61 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
     graph within universe map to v: a clique through one of them is the
     image of one through v, so once the root has branched on v they leave
     its candidates.  Depth first over an explicit stack.
+
+    The search colours in label order.  If it has not finished after
+    |universe| nodes, it starts again in reverse degeneracy order (label 0
+    is the last vertex a min-degree peel removes), from its incumbent; the
+    peel costs O(|universe| + edges), no more than colouring those nodes
+    did.  nodes, orbit_pruned and the charge cover both passes.
     """
+    m = universe.bit_count()
+    if target is None:
+        target = m + 1
+    best, nodes, pruned, done = _search(adj, universe, seed, target, orbits, charge, m)
+    if done:
+        return best, nodes, pruned
+    old = _peel_order(adj, universe)[::-1]  # the vertex given each new label
+    new = {v: i for i, v in enumerate(old)}
+
+    def relabel(mask):
+        return sum(1 << new[v] for v in bits(mask & universe))
+
+    best, more, dropped, _ = _search(
+        [relabel(adj[v]) for v in old], (1 << m) - 1, relabel(best), target,
+        None if orbits is None else [relabel(orbits[v]) for v in old], charge, None,
+    )
+    return sum(1 << old[i] for i in bits(best)), nodes + more, pruned + dropped
+
+
+def _peel_order(adj, universe):
+    """The vertices of universe in the order a min-degree peel removes them,
+    ties to the smallest label, over buckets of vertices by degree."""
+    degree = {v: (adj[v] & universe).bit_count() for v in bits(universe)}
+    buckets = [0] * (max(degree.values(), default=0) + 1)
+    for v, d in degree.items():
+        buckets[d] |= 1 << v
+    out = []
+    left = universe
+    d = 0
+    while left:
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        left ^= low
+        v = low.bit_length() - 1
+        out.append(v)
+        for u in bits(adj[v] & left):
+            buckets[degree[u]] ^= 1 << u
+            degree[u] -= 1
+            buckets[degree[u]] |= 1 << u
+        d = max(d - 1, 0)
+    return out
+
+
+def _search(adj, universe, seed, target, orbits, charge, limit):
+    """clique_search in label order, (clique, nodes, orbit_pruned, done):
+    done is False if it stopped with `limit` nodes expanded."""
     best = seed
     greedy = 0
     cand = universe
@@ -47,37 +101,47 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
     if greedy.bit_count() > best.bit_count():
         best = greedy
     best_size = best.bit_count()
-    if target is None:
-        target = universe.bit_count() + 1
     nodes = pruned = 0
     if best_size >= target:
-        return best, nodes, pruned
+        return best, nodes, pruned, True
     # the open ancestors of the node in hand, each as (clique, size,
     # candidates, colour order, bounds, next index, vertex branched on)
     frames = []
     r, size, p = 0, 0, universe
     while True:
+        if nodes == limit:
+            return best, nodes, pruned, False
         nodes += 1
         if charge is not None:
             charge(1)
+        # colour every candidate, but list only the colours that can beat
+        # the incumbent: it only grows, so the rest would never branch
         order = []
         bound = []
         colour = 0
+        skip = best_size - size
         rest = p
         while rest:
             colour += 1
             avail = rest
+            if colour <= skip:
+                while avail:
+                    low = avail & -avail
+                    rest ^= low
+                    avail = (avail ^ low) & ~adj[low.bit_length() - 1]
+                continue
             while avail:
-                v = (avail & -avail).bit_length() - 1
+                low = avail & -avail
+                v = low.bit_length() - 1
                 order.append(v)
                 bound.append(colour)
-                rest &= ~(1 << v)
-                avail &= rest & ~adj[v]
+                rest ^= low
+                avail = (avail ^ low) & ~adj[v]
         i = len(order) - 1
         if not p and size > best_size:
             best, best_size = r, size
             if best_size >= target:
-                return best, nodes, pruned
+                return best, nodes, pruned, True
         # the next candidate to branch on, back up the stack past finished nodes
         while True:
             while i >= 0 and size + bound[i] > best_size and not p >> order[i] & 1:
@@ -85,7 +149,7 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
             if i >= 0 and size + bound[i] > best_size:
                 break
             if not frames:
-                return best, nodes, pruned
+                return best, nodes, pruned, True
             r, size, p, order, bound, i, v = frames.pop()
             p &= ~(1 << v)
             if orbits is not None and not frames:

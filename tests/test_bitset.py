@@ -1,6 +1,8 @@
 """The max-clique search over an explicit stack, against the recursive
-search it replaced, and on a clique deeper than Python's recursion limit."""
+search it replaced, past the node count at which it reorders, and on a
+clique deeper than Python's recursion limit."""
 
+import itertools
 import json
 import random
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import params
-from guesslab._bitset import _complement, bits, clique_search
+from guesslab._bitset import _complement, _peel_order, bits, clique_search
 from guesslab.cli import main
 from guesslab.digraph import Digraph
 from guesslab.errors import ResourceBoundError
@@ -109,11 +111,96 @@ def test_stack_search_matches_the_recursive_one(seed, n, p, with_seed, with_targ
     target = rng.randint(0, n + 1) if with_target else None
     orbits = _orbits(rng, n) if with_orbits else None
     want = recursive_clique_search(adj, universe, start, target, orbits)
+    # each of these searches ends within |universe| nodes, in label order
+    # (an empty universe's root is searched again, as the same one node)
+    assert want[1] <= universe.bit_count() or not universe
     assert clique_search(adj, universe, start, target, orbits) == want
     # a charge of one unit per node, with no cap, counts the nodes
     charged = []
     assert clique_search(adj, universe, start, target, orbits, charged.append) == want
     assert charged == [1] * want[1]
+
+
+def _gnp_with_swap(rng, n, p):
+    """Two copies of G(n / 2, p), for even n, joined by a random symmetric
+    relation B (v ~ w' iff B(v, w)), and the orbits of the automorphism
+    that swaps each vertex v with its copy v'."""
+    h = n // 2
+    adj = [0] * n
+
+    def join(x, y):
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
+
+    for u, v in itertools.combinations(range(h), 2):
+        if rng.random() < p:
+            join(u, v)
+            join(u + h, v + h)
+    for u, v in itertools.combinations_with_replacement(range(h), 2):
+        if rng.random() < p:
+            join(u, v + h)
+            join(v, u + h)
+    return adj, [1 << v | 1 << (v + h) % n for v in range(n)]
+
+
+@pytest.mark.parametrize("with_seed, with_target, with_orbits", itertools.product([False, True], repeat=3))
+def test_search_past_the_reorder(with_seed, with_target, with_orbits):
+    crossed = 0
+    for i, (n, p, _) in enumerate(itertools.product([26, 30, 34, 40], [0.3, 0.5, 0.7], range(3))):
+        rng = random.Random(i)
+        if with_orbits:
+            adj, orbits = _gnp_with_swap(rng, n, p)
+        else:
+            adj, orbits = [0] * n, None
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        universe = 0
+        for v in range(n):
+            if rng.random() < 0.9:  # with orbits, a union of them
+                universe |= 1 << v if orbits is None else orbits[v]
+        omega = recursive_clique_search(adj, universe)[0].bit_count()
+        start = 0
+        if with_seed:  # a clique within universe, grown from random vertices
+            cand = universe
+            while cand and rng.random() < 0.8:
+                v = rng.choice(list(bits(cand)))
+                start |= 1 << v
+                cand &= adj[v]
+        # a target of omega or omega + 1 still asks for a maximum clique
+        target = omega + rng.randint(0, 1) if with_target else None
+        charged = []
+        clique, nodes, _ = clique_search(adj, universe, start, target, orbits, charged.append)
+        assert clique & ~universe == 0
+        assert all((adj[v] | 1 << v) & clique == clique for v in bits(clique))
+        assert clique.bit_count() == omega
+        assert charged == [1] * nodes
+        crossed += nodes > universe.bit_count()
+    assert crossed
+
+
+def naive_peel(adj, universe):
+    """Remove a vertex of least degree, the least such label, until none is left."""
+    out, left = [], universe
+    while left:
+        v = min(bits(left), key=lambda v: ((adj[v] & left).bit_count(), v))
+        out.append(v)
+        left &= ~(1 << v)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(0, 30), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+def test_peel_order_is_the_min_degree_peel(seed, n, p):
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    universe = sum(1 << v for v in range(n) if rng.random() < 0.8)
+    assert _peel_order(adj, universe) == naive_peel(adj, universe)
 
 
 def _star():

@@ -318,8 +318,9 @@ KNOB_CALLS = [
     # 2 essential tables tested on 8 states; then 2, 4 and 8 one-word ANDs
     ("guessing.COMBO_CAP", 86, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
-    # c = 3 < k = 4 and gn = 10: the clique search runs to the end
-    ("params.WORK_CAP", 23273, lambda: guessing_number(gk_family(4), 2).max_fix, 10),
+    # c = 3 < k = 4 and gn = 10: the clique search runs to the end, in
+    # label order and then in reverse degeneracy order
+    ("params.WORK_CAP", 3483, lambda: guessing_number(gk_family(4), 2).max_fix, 10),
 ]
 
 
@@ -344,8 +345,9 @@ C5U_MODEL = tuple(map(frozenset, ({0, 1}, {0, 2}, {2, 3}, {3, 4}, {1, 4})))
 WORK_CALLS = [
     # directed: each cycle scan costs the vertices it may root a BFS at
     ("acyclic_number-directed", 9, lambda: acyclic_number(directed_cycle(5)), 4),
-    # undirected: one unit per node of the independent-set search
-    ("acyclic_number-undirected", 17, lambda: acyclic_number(clebsch_graph()), 5),
+    # undirected: one unit per node of the independent-set search, which
+    # passes its 16 vertices in label order and starts again reordered
+    ("acyclic_number-undirected", 28, lambda: acyclic_number(clebsch_graph()), 5),
     # a unit per mask, and per arc per path vertex for the cycles listed
     ("max_disjoint_cycles", 136, lambda: max_disjoint_cycles(gk_family(4)), (3, ((1, 4), (2, 5), (3, 6)))),
     ("max_matching", 16, lambda: max_matching(complete_graph(4)), 2),

@@ -163,7 +163,7 @@ def test_sandwich_decides_the_hang_graph():
 
 def test_root_orbits_cut_the_search(monkeypatch):
     rep = guessing_number(undirected_cycle(5), 3)
-    assert rep.max_fix == 12 and (rep.stats.nodes, rep.stats.orbit_pruned) == (35526, 118)
+    assert rep.max_fix == 12 and (rep.stats.nodes, rep.stats.orbit_pruned) == (13132, 143)
     assert count_fixed_points(rep.witness) == 12
     # without the orbits the search needs more nodes than it took with them
     monkeypatch.setattr(guessing, "_root_orbits", lambda digs, q: None)
@@ -171,6 +171,37 @@ def test_root_orbits_cut_the_search(monkeypatch):
     with pytest.raises(ResourceBoundError) as exc:
         guessing_number(undirected_cycle(5), 3)
     assert exc.value.knob == "guesslab.params.WORK_CAP"
+
+
+def seed_5_sample():
+    """400 loopless digraphs on 4-7 vertices with arc probability 0.8, in
+    the order random.Random(5) draws them."""
+    rng = random.Random(5)
+    out = []
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        out.append(Digraph.of(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.8]))
+    return out
+
+
+@pytest.mark.parametrize("index", [241, 341])
+def test_hard_seed_5_graphs_fall_short_of_the_feedback_bound(index):
+    # c = 3 < k = 5 and gn = 20 < 2**5, so neither bound ends the search
+    rep = guessing_number(seed_5_sample()[index], 2)
+    assert (rep.max_fix, rep.stats.c, rep.stats.k, rep.stats.closed_by) == (20, 3, 5, "exhausted")
+    assert count_fixed_points(rep.witness) == 20
+
+
+def test_reordered_search_reaches_the_stop_rule():
+    # c = 2 < k = 3 and gn = 27 = 3**3.  In label order the search spent
+    # 125,418 nodes before its incumbent held 26 states; now it stops after
+    # the 204 states of its one component, and reordered, the greedy start
+    # holds 26 of them
+    g = Digraph.of(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 0), (2, 1), (2, 3), (2, 4),
+                       (3, 0), (3, 1), (3, 4), (4, 0), (4, 2)])
+    rep = guessing_number(g, 3)
+    assert (rep.max_fix, rep.stats.nodes, rep.stats.closed_by) == (27, 204, "stop-rule")
+    assert count_fixed_points(rep.witness) == 27
 
 
 def test_root_orbits_are_support_patterns():
