@@ -164,6 +164,11 @@ def _eliminate(f, cum):
     return CodingFunction(len(m), f.q, sups, tuple(loc.table for loc in locs)), m
 
 
+def _drop(h, v):
+    """Drop the loop-free vertex v of a canonical h; (canonical function, old-to-new map)."""
+    return _eliminate(h, {v: Local(h.supports[v], h.tables[v])})
+
+
 def reduce_vertex(f, v):
     """v-reduction: substitute f_v for x_v everywhere, drop v; that is
     reduce_set(f, {v}).
@@ -173,10 +178,10 @@ def reduce_vertex(f, v):
     """
     if not (0 <= v < f.n):
         raise VertexRangeError(f"vertex {v} out of range")
-    sup = f.supports[v]
-    if v in sup and sup.index(v) in _essential_positions(f.q, len(sup), f.tables[v]):
-        return f.canonicalize(), {u: u for u in range(f.n)}
-    return reduce_set(f, {v})
+    f = f.canonicalize()
+    if v in f.supports[v]:
+        return f, {u: u for u in range(f.n)}
+    return _drop(f, v)
 
 
 def reduce_sequence(f, seq):
@@ -245,34 +250,32 @@ def is_nondecreasing(f):
 def mindim(f):
     """Minimum dimension over all reduced forms of f.
 
-    Each distinct reduced form visited charges params.WORK_CAP 1 plus the
-    rows of its tables.  Counting the fixed points first caps q**n by
-    STATE_LIMIT, and with it the depth n of the search.
+    A depth-first search over an explicit stack, memoised on the bitmask S of
+    the original vertices removed.  S fixes the form, even where S is cyclic
+    in G(f): by induction on the removal order, x_S = f_S(y, x_S) has one
+    solution x_S(y) for each setting y of the other vertices (dropping v,
+    loop-free in the current form, fixes x_v from y, and earlier removals
+    the rest), and the form is the canonical y -> f_{V-S}(y, x_S(y)).  Each
+    set visited charges params.WORK_CAP 1 plus the rows of its form's
+    tables.  Counting the fixed points first caps q**n by STATE_LIMIT.
     """
     fix = count_fixed_points(f)
     floor = 0
     while f.q**floor < fix:
         floor += 1
-    start = f.canonicalize()
-    best = start.n
+    best = f.n
     seen = set()
-    charge = params._meter("mindim reduced forms and rows")
-
-    def visit(h):
-        nonlocal best
-        if best == floor:
-            return
-        key = (h.n, h.supports, h.tables)
-        if key in seen:
-            return
-        seen.add(key)
+    charge = params._meter("mindim removed vertex sets and rows")
+    stack = [(0, f.canonicalize(), tuple(range(f.n)), None)]  # (S, parent, its labels, vertex to drop)
+    while stack and best > floor:
+        removed, h, labels, v = stack.pop()
+        if removed in seen:
+            continue
+        seen.add(removed)
+        if v is not None:
+            h, labels = _drop(h, v)[0], labels[:v] + labels[v + 1 :]
         charge(1 + sum(map(len, h.tables)))
-        loop_free = [v for v in range(h.n) if v not in h.supports[v]]
-        if not loop_free:
-            best = min(best, h.n)
-            return
-        for v in loop_free:
-            visit(reduce_vertex(h, v)[0])
-
-    visit(start)
+        best = min(best, h.n)
+        loop_free = [u for u in range(h.n) if u not in h.supports[u]]
+        stack.extend((removed | 1 << labels[u], h, labels, u) for u in reversed(loop_free))
     return best

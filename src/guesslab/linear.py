@@ -113,12 +113,8 @@ def count_fixed_linear(f):
     if n == 0:
         return 1, 0
     if is_prime(q):
-        m = np.zeros((1, n, n), dtype=np.int64)
-        for i in range(n):
-            for u in range(n):
-                m[0, i, u] = f.rows[i][u]
-            m[0, i, i] = (m[0, i, i] - 1) % q
-        rank = int(_kernels.modular_ranks(m, q)[0])
+        m = (np.array(f.rows, dtype=np.int64) - np.eye(n, dtype=np.int64)) % q
+        rank = int(_kernels.modular_ranks(m[None], q)[0])
         return q ** (n - rank), n - rank
     check_bound(f"states, {q}**{n}", q**n, coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
     return count_fixed_points(f.to_coding_function()), None

@@ -14,7 +14,7 @@ called: against params.WORK_CAP, the max-clique search's nodes (one meter
 over all the guessing search's components), each search in params with
 the listings inside it (maximal cliques, cycles through a vertex),
 charged before they grow, the sets the prover's sweep tests and scans,
-and mindim's reduced forms with their table rows; against
+and mindim's removed vertex sets with their forms' table rows; against
 guessing.COMBO_CAP, the strict enumeration's candidate table rows,
 counted before they are listed, its state tests and its mask ANDs.  No
 search is refused by vertex count, and none recurses deeper than its
@@ -111,7 +111,6 @@ def test_recursion_inventory():
             ):
                 recursive.add(f"{path.stem}.{fn.name}")
     assert recursive == {
-        "coding.visit",  # mindim: depth at most n, and q**n <= coding.STATE_LIMIT
         "linear.passes",  # the prover: each level removes an arc past the last
         "params.rec",  # directed acyclic set: each level charges at least its mask's size
     }
@@ -490,6 +489,6 @@ def test_routing_refuses_by_table_rows_before_building_any(monkeypatch, call):
 
 
 def test_mindim_of_the_thirteen_vertex_identity_at_default_caps():
-    # every vertex is looped, so no reduction applies: one reduced form
+    # every vertex is looped, so no reduction applies: one removed set, the empty one
     ident = CodingFunction(13, 2, tuple((v,) for v in range(13)), ((0, 1),) * 13)
     assert mindim(ident) == 13

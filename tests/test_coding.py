@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from guesslab import _kernels, coding
+from guesslab import _kernels, coding, params
 from guesslab.coding import (
     CodingFunction,
     count_fixed_points,
@@ -248,6 +248,77 @@ def test_mindim_min_net_equals_feedback_number():
         n = rng.randint(1, 8)
         g = random_digraph(rng, n, p=0.3, loops=True)
         assert mindim(min_net(g, 2)) == feedback_number(g)
+
+
+def plain_mindim(f):
+    """Minimum dimension over all reduced forms of f.
+
+    Each distinct reduced form visited charges params.WORK_CAP 1 plus the
+    rows of its tables.  Counting the fixed points first caps q**n by
+    STATE_LIMIT, and with it the depth n of the search.
+    """
+    fix = count_fixed_points(f)
+    floor = 0
+    while f.q**floor < fix:
+        floor += 1
+    start = f.canonicalize()
+    best = start.n
+    seen = set()
+    charge = params._meter("mindim reduced forms and rows")
+
+    def visit(h):
+        nonlocal best
+        if best == floor:
+            return
+        key = (h.n, h.supports, h.tables)
+        if key in seen:
+            return
+        seen.add(key)
+        charge(1 + sum(map(len, h.tables)))
+        loop_free = [v for v in range(h.n) if v not in h.supports[v]]
+        if not loop_free:
+            best = min(best, h.n)
+            return
+        for v in loop_free:
+            visit(reduce_vertex(h, v)[0])
+
+    visit(start)
+    return best
+
+
+def test_mindim_matches_the_search_over_whole_tables():
+    # the oracle memoises on whole tables and reaches each form through
+    # reduce_vertex; mindim memoises on the removed vertex set
+    rng = random.Random(23)
+    cases = [random_coding_function(rng, rng.randint(0, 6), rng.choice((2, 3))) for _ in range(600)]
+    cases += [min_net(random_digraph(rng, n, p=0.3, loops=True), 2) for n in range(1, 11) for _ in range(3)]
+    for f in cases:
+        assert mindim(f) == plain_mindim(f), f
+
+
+def test_removed_set_fixes_the_form_even_when_cyclic():
+    # f_0 = x_1 and x_2, f_1 = x_0 and not x_2, f_2 = x_2: {0, 1} is a 2-cycle
+    # of G(f), yet removing 0 makes f_1 constant and removing 1 makes f_0 so
+    f = CodingFunction(3, 2, ((1, 2), (0, 2), (2,)), ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1)))
+    with pytest.raises(NotAcyclicError):
+        reduce_set(f, {0, 1})
+    ident = (CodingFunction(1, 2, ((0,),), ((0, 1),)), {2: 0})
+    assert reduce_sequence(f, [0, 1]) == reduce_sequence(f, [1, 0]) == ident
+    assert mindim(f) == 1
+
+
+def test_mindim_reduces_without_recanonicalising(monkeypatch):
+    # after its first canonicalize, mindim builds every form by coding._drop alone
+    f = min_net(random_digraph(random.Random(1), 8, p=0.4), 2)  # 83 drops, answer 3
+    start, want = f.canonicalize(), plain_mindim(f)
+
+    def banned(*_):
+        raise AssertionError("called after the first canonicalize")
+
+    monkeypatch.setattr(CodingFunction, "canonicalize", lambda h: start if h is f else banned())
+    for name in ("reduce_vertex", "reduce_set"):
+        monkeypatch.setattr(coding, name, banned)
+    assert mindim(f) == want
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
