@@ -250,30 +250,32 @@ def is_nondecreasing(f):
 def mindim(f):
     """Minimum dimension over all reduced forms of f.
 
-    A depth-first search over an explicit stack, memoised on the bitmask S of
-    the original vertices removed.  S fixes the form, even where S is cyclic
-    in G(f): by induction on the removal order, x_S = f_S(y, x_S) has one
-    solution x_S(y) for each setting y of the other vertices (dropping v,
-    loop-free in the current form, fixes x_v from y, and earlier removals
-    the rest), and the form is the canonical y -> f_{V-S}(y, x_S(y)).  Each
-    set visited charges params.WORK_CAP 1 plus the rows of its form's
-    tables.  Counting the fixed points first caps q**n by STATE_LIMIT.
+    A depth-first search over an explicit stack, memoised on the bitmask S
+    of the original vertices removed, which fixes the form even where S is
+    cyclic in G(f): by induction on the removal order, x_S = f_S(y, x_S) has
+    one solution x_S(y) for each setting y of the other vertices, and the
+    form is the canonical y -> f_{V-S}(y, x_S(y)).  Each form, however many
+    sets reach it, is expanded once and charges params.WORK_CAP 1 plus its
+    table rows.  Counting the fixed points first caps q**n by STATE_LIMIT.
     """
     fix = count_fixed_points(f)
     floor = 0
     while f.q**floor < fix:
         floor += 1
     best = f.n
-    seen = set()
-    charge = params._meter("mindim removed vertex sets and rows")
+    sets, forms = set(), set()
+    charge = params._meter("mindim reduced forms and rows")
     stack = [(0, f.canonicalize(), tuple(range(f.n)), None)]  # (S, parent, its labels, vertex to drop)
     while stack and best > floor:
         removed, h, labels, v = stack.pop()
-        if removed in seen:
+        if removed in sets:
             continue
-        seen.add(removed)
+        sets.add(removed)
         if v is not None:
             h, labels = _drop(h, v)[0], labels[:v] + labels[v + 1 :]
+        if (h.supports, h.tables) in forms:
+            continue
+        forms.add((h.supports, h.tables))
         charge(1 + sum(map(len, h.tables)))
         best = min(best, h.n)
         loop_free = [u for u in range(h.n) if u not in h.supports[u]]

@@ -14,7 +14,7 @@ called: against params.WORK_CAP, the max-clique search's nodes (one meter
 over all the guessing search's components), each search in params with
 the listings inside it (maximal cliques, cycles through a vertex),
 charged before they grow, the sets the prover's sweep tests and scans,
-and mindim's removed vertex sets with their forms' table rows; against
+and mindim's reduced forms with their table rows; against
 guessing.COMBO_CAP, the strict enumeration's candidate table rows,
 counted before they are listed, its state tests and its mask ANDs.  No
 search is refused by vertex count, and none recurses deeper than its

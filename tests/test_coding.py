@@ -286,14 +286,35 @@ def plain_mindim(f):
     return best
 
 
-def test_mindim_matches_the_search_over_whole_tables():
+def answer_and_units(monkeypatch, search, f):
+    """What search(f) returns and the params.WORK_CAP units it charges."""
+    spent = []
+    monkeypatch.setattr(params, "_meter", lambda what: spent.append)
+    return search(f), sum(spent)
+
+
+def test_mindim_matches_the_search_over_whole_tables(monkeypatch):
     # the oracle memoises on whole tables and reaches each form through
-    # reduce_vertex; mindim memoises on the removed vertex set
+    # reduce_vertex; mindim memoises on the removed vertex set as well, and
+    # charges no more units than the oracle
     rng = random.Random(23)
     cases = [random_coding_function(rng, rng.randint(0, 6), rng.choice((2, 3))) for _ in range(600)]
     cases += [min_net(random_digraph(rng, n, p=0.3, loops=True), 2) for n in range(1, 11) for _ in range(3)]
     for f in cases:
-        assert mindim(f) == plain_mindim(f), f
+        (got, units), (want, cap) = (answer_and_units(monkeypatch, s, f) for s in (mindim, plain_mindim))
+        assert got == want and units <= cap, f
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_mindim_expands_each_form_once_across_removed_sets(monkeypatch, m):
+    # m bidirected triangles and a bidirected edge: removing any vertex of a
+    # triangle gives the same form, so 3 * 4**m removed sets reach 2 * 2**m
+    # forms, and the answer 2m + 1 lies above the floor m + 1
+    arcs = [(3 * t + a, 3 * t + b) for t in range(m) for a in range(3) for b in range(3) if a != b]
+    f = min_net(Digraph.of(3 * m + 2, arcs + [(3 * m, 3 * m + 1), (3 * m + 1, 3 * m)]), 2)
+    got = answer_and_units(monkeypatch, mindim, f)
+    assert got == answer_and_units(monkeypatch, plain_mindim, f)
+    assert got[0] == 2 * m + 1
 
 
 def test_removed_set_fixes_the_form_even_when_cyclic():
