@@ -331,6 +331,10 @@ def prove_not_linearly_solvable(g):
     that necessary condition, no alphabet can solve G linearly.  The sweep
     over the H is refused once it has listed or tested params.WORK_CAP
     vertex sets; the listing is counted before it is made.
+
+    Depth first over an explicit stack of (in-masks of H, j): the entry
+    stands for H minus arcs[j], G itself for j = -1, and its children
+    remove one more arc past arcs[j].
     """
     knob = "guesslab.params.WORK_CAP"
     arcs = g.arcs_sorted()
@@ -346,22 +350,21 @@ def prove_not_linearly_solvable(g):
     upper = subset_masks(n, alpha + 1)
     holding = [[m for m in upper if m >> u & m >> v & 1] for u, v in arcs]
     charge = params._meter("vertex sets tested by the prover")
-
-    def passes(ins, start):
-        # True if ins, or a subgraph of it with some of arcs[start:] removed
-        # and k still k(G), has only weakly compatible maximum acyclic sets
+    stack = [(g.in_masks(), -1)]
+    while stack:
+        ins, j = stack.pop()
+        if j >= 0:
+            u, v = arcs[j]
+            ins = ins.copy()
+            ins[v] &= ~(1 << u)
+            # an (alpha+1)-set turned acyclic: k fell, so H leaves the sweep
+            drop = next((i for i, m in enumerate(holding[j]) if _peel(ins, m) is not None), None)
+            charge(len(holding[j]) if drop is None else drop + 1)
+            if drop is not None:
+                continue
         hit = _weak_violation(ins, alpha_sets)
         charge(len(alpha_sets) if hit is None else hit + 1)
-        if hit is None:
-            return True
-        for j in range(start, len(arcs)):
-            u, v = arcs[j]
-            child = ins.copy()
-            child[v] &= ~(1 << u)
-            drop = next((i for i, m in enumerate(holding[j]) if _peel(child, m) is not None), None)
-            charge(len(holding[j]) if drop is None else drop + 1)
-            if drop is None and passes(child, j + 1):
-                return True
-        return False
-
-    return Certificate(INCONCLUSIVE if passes(g.in_masks(), 0) else NOT_LINEARLY_SOLVABLE)
+        if hit is None:  # every maximum acyclic set of H is weakly compatible
+            return Certificate(INCONCLUSIVE)
+        stack += [(ins, i) for i in range(len(arcs) - 1, j, -1)]
+    return Certificate(NOT_LINEARLY_SOLVABLE)

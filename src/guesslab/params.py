@@ -80,7 +80,9 @@ def max_acyclic_set(g):
     """A maximum acyclic vertex set, as a frozenset.  On an undirected graph
     it is a maximum independent set, one unit of work per search node.  A
     directed node can take milliseconds, so there each cycle scan of a mask
-    costs one unit per vertex of the mask: the BFS roots it may try."""
+    costs one unit per vertex of the mask: the BFS roots it may try.
+    Depth first over a stack of masks: a node packs shortest cycles
+    greedily, each forcing one exclusion, and branches on the first."""
     universe = sum(1 << v for v in range(g.n) if not g.has_loop(v))
     if g.is_undirected():
         return frozenset(bits(max_clique(_complement(_sym_adj(g), universe), g.n, universe)))
@@ -89,38 +91,24 @@ def max_acyclic_set(g):
     best = 0
     seen = set()
     charge = _meter("max acyclic set scan roots")
-
-    def greedy_packing(mask):
-        cnt = 0
-        while True:
-            charge(mask.bit_count())
-            cyc = _find_short_cycle(out_masks, mask)
-            if cyc is None:
-                return cnt
-            for v in cyc:
-                mask &= ~(1 << v)
-            cnt += 1
-
-    def rec(mask):
-        nonlocal best
+    stack = [universe]
+    while stack:
+        mask = stack.pop()
         if mask.bit_count() <= best.bit_count() or mask in seen:
-            return
+            continue
         seen.add(mask)
-        charge(mask.bit_count())
-        cyc = _find_short_cycle(out_masks, mask)
-        if cyc is None:
+        rest, cycles = mask, []
+        while True:
+            charge(rest.bit_count())
+            cyc = _find_short_cycle(out_masks, rest)
+            if cyc is None:
+                break
+            cycles.append(cyc)
+            rest &= ~sum(1 << v for v in cyc)
+        if not cycles:
             best = mask
-            return
-        # every vertex-disjoint cycle forces at least one exclusion
-        rest = mask
-        for v in cyc:
-            rest &= ~(1 << v)
-        if mask.bit_count() - 1 - greedy_packing(rest) <= best.bit_count():
-            return
-        for v in cyc:
-            rec(mask & ~(1 << v))
-
-    rec(universe)
+        elif mask.bit_count() - len(cycles) > best.bit_count():
+            stack += [mask & ~(1 << v) for v in reversed(cycles[0])]
     return frozenset(bits(best))
 
 

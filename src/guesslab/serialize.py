@@ -114,14 +114,14 @@ def parse_dot(text):
             v = int(tokens[i][0])
             max_vertex = max(max_vertex, v)
             i += 1
-            while i < len(tokens) and tokens[i][0].startswith("["):
-                warnings.warn("attribute list ignored", SerializeWarning, stacklevel=2)
-                i += 1
             if (u, v) in seen:
                 warnings.warn(f"duplicate arc ({u}, {v}) dropped", SerializeWarning, stacklevel=2)
             else:
                 seen.add((u, v))
                 arcs.append((u, v))
+        while i < len(tokens) and tokens[i][0].startswith("["):
+            warnings.warn("attribute list ignored", SerializeWarning, stacklevel=2)
+            i += 1
         if i < len(tokens) and tokens[i][0] == ";":
             i += 1
         else:

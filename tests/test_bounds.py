@@ -17,14 +17,15 @@ charged before they grow, the sets the prover's sweep tests and scans,
 and mindim's reduced forms with their table rows; against
 guessing.COMBO_CAP, the strict enumeration's candidate table rows,
 counted before they are listed, its state tests and its mask ANDs.  No
-search is refused by vertex count, and none recurses deeper than its
-bound allows."""
+search is refused by vertex count, and none calls itself."""
 
 import ast
+import inspect
 import math
 import pathlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -99,8 +100,8 @@ def test_one_refusal_site():
 
 
 def test_recursion_inventory():
-    # every function that calls itself, so that a search whose depth grows
-    # with its input, and ends in RecursionError, shows up here as a diff
+    # no function calls itself: a search whose depth grows with its input
+    # keeps its own stack instead of ending in RecursionError
     src = pathlib.Path(guesslab.__file__).parent
     recursive = set()
     for path in sorted(src.glob("*.py")):
@@ -110,10 +111,20 @@ def test_recursion_inventory():
                 for node in ast.walk(fn)
             ):
                 recursive.add(f"{path.stem}.{fn.name}")
-    assert recursive == {
-        "linear.passes",  # the prover: each level removes an arc past the last
-        "params.rec",  # directed acyclic set: each level charges at least its mask's size
-    }
+    assert recursive == set()
+
+
+def test_directed_acyclic_set_search_is_not_bounded_by_the_call_stack(monkeypatch):
+    # 100 disjoint 2-cycles, made directed by the arc (0, 2): the search
+    # branches once per 2-cycle, 100 levels deep, with 60 frames to spare
+    g = Digraph.of(200, [(v, v ^ 1) for v in range(200)] + [(0, 2)])
+    monkeypatch.setattr(params, "WORK_CAP", 1 << 30)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert acyclic_number(g) == 100
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
@@ -344,6 +355,7 @@ C5U_MODEL = tuple(map(frozenset, ({0, 1}, {0, 2}, {2, 3}, {3, 4}, {1, 4})))
 WORK_CALLS = [
     # directed: each cycle scan costs the vertices it may root a BFS at
     ("acyclic_number-directed", 9, lambda: acyclic_number(directed_cycle(5)), 4),
+    ("acyclic_number-gk4", 73, lambda: acyclic_number(gk_family(4)), 3),
     # undirected: one unit per node of the independent-set search, which
     # passes its 16 vertices in label order and starts again reordered
     ("acyclic_number-undirected", 28, lambda: acyclic_number(clebsch_graph()), 5),
@@ -362,6 +374,8 @@ WORK_CALLS = [
     ("in_dominating_counts", 32, lambda: in_dominating_counts(directed_cycle(5)), (0, 0, 0, 5, 5, 1)),
     ("prove_not_linearly_solvable", 135, lambda: prove_not_linearly_solvable(gk_family(3)).verdict,
      linear.NOT_LINEARLY_SOLVABLE),
+    ("prove_not_linearly_solvable-gk4min", 26590,
+     lambda: prove_not_linearly_solvable(gk_family(4, "minimal")).verdict, linear.NOT_LINEARLY_SOLVABLE),
     ("weak_compat_certificate", 31, lambda: weak_compat_certificate(gk_family(3)),
      linear.Certificate(linear.NOT_STRICTLY_LINEARLY_SOLVABLE, frozenset({0, 1}))),
     # 1 per reduced form plus its rows: 4, 3, 2 and 1 vertices of 2 rows each

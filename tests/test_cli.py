@@ -267,6 +267,28 @@ def test_construct_families(capsys, monkeypatch):
     assert code == 0
 
 
+def test_construct_writes_to_the_output_file(capsys, tmp_path):
+    path = tmp_path / "k3.dot"
+    code, out, _ = run_cli(capsys, ["construct", "clique", "3", "-o", str(path)])
+    assert (code, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == emit_dot(complete_graph(3))
+
+
+def test_reduce_bad_vertex_list_exits_2(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, ["reduce", "-", "--vertices", "1,x"], stdin=emit_dot(complete_graph(3)),
+                           monkeypatch=monkeypatch)
+    assert code == 2
+    assert "bad vertex list" in err
+
+
+def test_solvable_json_negative(capsys, monkeypatch):
+    # C5u: k = 3, and no coding function over q = 2 fixes 2**3 states
+    code, out, _ = run_cli(capsys, ["solvable", "-", "-q", "2", "--json"], stdin=emit_dot(undirected_cycle(5)),
+                           monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out) == {"solvable": False, "q": 2, "k": 3}
+
+
 def test_resource_bound_exit(capsys, monkeypatch):
     # K3 plus 10 isolated vertices: c = 1 < k = 2, so the 2**13 states are needed
     k3 = complete_graph(3)

@@ -36,6 +36,14 @@ def test_single_pair_direct_arc_gives_loop():
     assert to_guessing_digraph(inst) == Digraph.of(1, [(0, 0)])
 
 
+def test_merge_drops_arcs_out_of_a_destination_and_into_a_source():
+    # (2, 4) leaves destination 2 and (4, 0) enters source 0: both go, so
+    # intermediate 4, merged vertex 2, is left isolated
+    inst = UnicastInstance(pairs=((0, 2), (1, 3)), intermediates=(4,),
+                           arcs=frozenset({(0, 3), (1, 2), (2, 4), (4, 0)}))
+    assert to_guessing_digraph(inst) == Digraph.of(3, [(0, 1), (1, 0)])
+
+
 def test_butterfly_solution_transcribed():
     # the clique solution on K_3 realises the butterfly routing/coding labels
     g = to_guessing_digraph(butterfly_instance())
@@ -131,6 +139,11 @@ def test_parse_warnings():
     with pytest.warns(SerializeWarning):
         g = parse_dot('digraph { 0 -> 1 [color=red]; }')
     assert g == Digraph.of(2, [(0, 1)])
+    # a node statement takes attributes as an arc statement does
+    with pytest.warns(SerializeWarning) as caught:
+        g = parse_dot("digraph { 0 [color=red]; 0 -> 1; }")
+    assert g == Digraph.of(2, [(0, 1)])
+    assert [str(w.message) for w in caught] == ["attribute list ignored"]
 
 
 def test_dot_allows_graph_name():
@@ -216,14 +229,14 @@ def _oracle_parse_dot(text):
             v = int(tokens[i][0])
             max_vertex = max(max_vertex, v)
             i += 1
-            while i < len(tokens) and tokens[i][0].startswith("["):
-                warnings.warn("attribute list ignored", SerializeWarning)
-                i += 1
             if (u, v) in seen:
                 warnings.warn(f"duplicate arc ({u}, {v}) dropped", SerializeWarning)
             else:
                 seen.add((u, v))
                 arcs.append((u, v))
+        while i < len(tokens) and tokens[i][0].startswith("["):
+            warnings.warn("attribute list ignored", SerializeWarning)
+            i += 1
         if i < len(tokens) and tokens[i][0] == ";":
             i += 1
         else:
