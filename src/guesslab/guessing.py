@@ -238,8 +238,12 @@ def strict_guessing_number(g, q):
     """Exact max |Fix(f)| over f whose interaction graph equals g.
 
     Loop-full graphs take the closed-form route (in-dominating-set sum)
-    with the explicit witness; everything else is exhaustive enumeration
-    of per-vertex essential tables, with deduplicated fixed-state masks.
+    with the explicit witness.  Everything else is a depth-first search
+    with one level per vertex: a child ANDs its parent's state mask with
+    one distinct fix mask of an essential table, the child with the most
+    states is popped first, and one that cannot beat the incumbent or
+    whose (level, mask) was reached before is dropped.  COMBO_CAP counts
+    the candidate table rows and state tests first, then each AND's words.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
@@ -260,10 +264,6 @@ def _strict_exhaustive(g, q):
         return 1, ()
     states = q**g.n
     words = -(-states // 64)
-    # distinct partial masks can never outnumber the subsets of the state
-    # space, so bound the stage-by-stage work, not the raw product
-    state_cap_sets = 1 << states if states <= 30 else None
-    prev = 1
     # candidate table rows scanned, state tests, and 64-bit words ANDed
     charge = meter("strict enumeration work", COMBO_CAP, "guesslab.guessing.COMBO_CAP")
     per_vertex = []
@@ -277,21 +277,25 @@ def _strict_exhaustive(g, q):
         for t, m in zip(tables, _fix_masks(g, q, v, tables)):
             masks.setdefault(m, t)
         per_vertex.append(masks)
-        charge(prev * len(masks) * words)  # one states-bit AND per combination
-        prev *= len(masks)
-        if state_cap_sets is not None:
-            prev = min(prev, state_cap_sets)
-    partial = {(1 << states) - 1: ()}
-    for masks in per_vertex:
-        nxt = {}
-        for acc, chosen in partial.items():
-            for m, t in masks.items():
-                key = acc & m
-                if key not in nxt:
-                    nxt[key] = chosen + (t,)
-        partial = nxt
-    best_mask = max(partial, key=lambda m: m.bit_count())
-    return best_mask.bit_count(), partial[best_mask]
+    best, found, seen = -1, (), set()
+    stack = [((1 << states) - 1, ())]  # a state mask and the tables that cut it out
+    while stack:
+        acc, chosen = stack.pop()
+        level = len(chosen)
+        if acc.bit_count() <= best:
+            continue  # the incumbent rose after this node was pushed
+        if level == g.n:
+            best, found = acc.bit_count(), chosen
+            continue
+        charge(len(per_vertex[level]) * words)  # one states-bit AND per fix mask
+        children = []
+        for m, t in per_vertex[level].items():
+            child = acc & m
+            if child.bit_count() > best and (level, child) not in seen:
+                seen.add((level, child))
+                children.append((child, chosen + (t,)))
+        stack += sorted(children, key=lambda node: node[0].bit_count())  # most states on top
+    return best, found
 
 
 # ---------------------------------------------------------------------------

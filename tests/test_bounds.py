@@ -16,8 +16,9 @@ the listings inside it (maximal cliques, cycles through a vertex),
 charged before they grow, the sets the prover's sweep tests and scans,
 and mindim's reduced forms with their table rows; against
 guessing.COMBO_CAP, the strict enumeration's candidate table rows,
-counted before they are listed, its state tests and its mask ANDs.  No
-search is refused by vertex count, and none calls itself."""
+counted before they are listed, its state tests, and the mask ANDs its
+depth-first search makes, charged as each node makes them.  No search
+is refused by vertex count, and none calls itself."""
 
 import ast
 import inspect
@@ -325,8 +326,9 @@ KNOB_CALLS = [
     # K3: c = 1 < k = 2, so the conflict graph is built on its 2**3 states
     ("guessing.STATE_CAP", 8, lambda: guessing_number(complete_graph(3), 2).max_fix, 4),
     # 3 vertices of in-degree 1, each with 4 candidate tables of 2 rows and
-    # 2 essential tables tested on 8 states; then 2, 4 and 8 one-word ANDs
-    ("guessing.COMBO_CAP", 86, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
+    # 2 essential tables tested on 8 states; then 2 one-word ANDs at each of
+    # the 4 nodes that can still beat the incumbent when popped
+    ("guessing.COMBO_CAP", 80, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
     # c = 3 < k = 4 and gn = 10: the clique search runs to the end, in
     # label order and then in reverse degeneracy order

@@ -12,7 +12,7 @@ from guesslab import _kernels, guessing, params
 from guesslab._bitset import max_independent_set
 from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
-from guesslab.errors import PreconditionError, ResourceBoundError
+from guesslab.errors import PreconditionError, ResourceBoundError, meter
 from guesslab.guessing import (
     _strict_exhaustive,
     guessing_number,
@@ -23,7 +23,7 @@ from guesslab.guessing import (
     routing_witness,
     strict_guessing_number,
 )
-from guesslab.constructions import gk_family, named, unit_witness
+from guesslab.constructions import clique_solution, gk_family, named, unit_witness
 from guesslab.params import acyclic_number, feedback_number
 
 from conftest import complete_graph, digraphs, random_digraph, undirected_cycle
@@ -271,11 +271,105 @@ def test_witness_reverifies():
         assert interaction_graph(rep.witness).arcs <= g.arcs
 
 
-def test_strict_cap_charges_mask_width():
-    # 2**18 states: few mask combinations, but each one is a 2**18-bit AND
+def test_strict_cap_charges_mask_width(monkeypatch):
+    # C9u at q = 2: every vertex's masks are built within the cap, then the
+    # search's 8-word ANDs over the 2**9 states run past it
+    built = []
+    fix_masks = guessing._fix_masks
+    monkeypatch.setattr(guessing, "_fix_masks", lambda *a: built.append(a[2]) or fix_masks(*a))
     with pytest.raises(ResourceBoundError) as exc:
-        strict_guessing_number(named("C", 18).graph, 2)
-    assert exc.value.needed > exc.value.cap and exc.value.knob
+        strict_guessing_number(undirected_cycle(9), 2)
+    assert built == list(range(9))
+    assert exc.value.needed > exc.value.cap and exc.value.knob == "guesslab.guessing.COMBO_CAP"
+
+
+def plain_strict(g, q):
+    """Max fixed points over the per-vertex essential tables, breadth first:
+    a dict of the distinct partial masks, one level per vertex, charged up
+    front with the product of the mask counts so far."""
+    if g.n == 0:
+        return 1, ()
+    states = q**g.n
+    words = -(-states // 64)
+    # distinct partial masks can never outnumber the subsets of the state
+    # space, so bound the stage-by-stage work, not the raw product
+    state_cap_sets = 1 << states if states <= 30 else None
+    prev = 1
+    # candidate table rows scanned, state tests, and 64-bit words ANDed
+    charge = meter("strict enumeration work", guessing.COMBO_CAP, "guesslab.guessing.COMBO_CAP")
+    per_vertex = []
+    for v in range(g.n):
+        rows = q ** g.in_degree(v)
+        # past max(64, COMBO_CAP bits) rows q**rows is surely over it: stop there
+        charge(q ** min(rows, max(64, guessing.COMBO_CAP.bit_length() + 1)) * rows)
+        tables = guessing._essential_local_tables(q, g.in_degree(v))
+        charge(len(tables) * states)  # each table is tested on every state
+        masks = {}
+        for t, m in zip(tables, guessing._fix_masks(g, q, v, tables)):
+            masks.setdefault(m, t)
+        per_vertex.append(masks)
+        charge(prev * len(masks) * words)  # one states-bit AND per combination
+        prev *= len(masks)
+        if state_cap_sets is not None:
+            prev = min(prev, state_cap_sets)
+    partial = {(1 << states) - 1: ()}
+    for masks in per_vertex:
+        nxt = {}
+        for acc, chosen in partial.items():
+            for m, t in masks.items():
+                key = acc & m
+                if key not in nxt:
+                    nxt[key] = chosen + (t,)
+        partial = nxt
+    best_mask = max(partial, key=lambda m: m.bit_count())
+    return best_mask.bit_count(), partial[best_mask]
+
+
+def test_strict_search_matches_the_plain_enumeration():
+    # wherever the breadth-first oracle answers, the depth-first search
+    # answers with the same count, and its witness has interaction graph g;
+    # in-degrees stay small enough that listing the candidate tables is quick
+    rng = random.Random(41)
+    answered = 0
+    for _ in range(150):
+        g = random_digraph(rng, rng.randint(1, 5), p=0.4, loops=True)
+        q = rng.choice([2, 3])
+        if q ** q ** max(map(g.in_degree, range(g.n))) > 3**9:
+            continue
+        try:
+            want, _ = plain_strict(g, q)
+        except ResourceBoundError:
+            continue
+        rep = strict_guessing_number(g, q)
+        assert rep.max_fix == want, (g, q)
+        assert interaction_graph(rep.witness) == g
+        assert count_fixed_points(rep.witness) == want
+        answered += rep.kind == "h"
+    assert answered == 92  # of the 115 the oracle answers; the rest are loop-full
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [(complete_graph(4), 8), (undirected_cycle(7), 7), (gk_family(3), 5)],
+    ids=["K4", "C7u", "gk3"],
+)
+def test_strict_answers_what_the_plain_enumeration_refused(monkeypatch, g, want):
+    # the oracle's up-front product of mask counts is over the default cap,
+    # but the enumeration itself is small
+    assert strict_guessing_number(g, 2).max_fix == want
+    with pytest.raises(ResourceBoundError):
+        plain_strict(g, 2)
+    monkeypatch.setattr(guessing, "COMBO_CAP", 1 << 30)
+    assert plain_strict(g, 2)[0] == want
+
+
+def test_strict_k4_meets_the_clique_solution():
+    # h(K4, 2) <= g(K4, 2) = 2**3, and the clique solution, whose
+    # interaction graph is K4, fixes 8 states
+    k4 = complete_graph(4)
+    assert strict_guessing_number(k4, 2).max_fix == guessing_number(k4, 2).max_fix == 2**3
+    f = clique_solution(4, 2).to_coding_function()
+    assert interaction_graph(f) == k4 and count_fixed_points(f) == 8
 
 
 def test_strict_loopfull_formula_examples():
@@ -323,14 +417,14 @@ def test_loopfull_witness_random():
         assert interaction_graph(w) == add_loops(g)
 
 
-def test_strict_exhaustive_agrees_with_formula_n3_q2():
+def test_strict_exhaustive_agrees_with_formula_q3():
     # loop-full graphs take the formula route, so run the enumeration itself
-    pairs = [(u, v) for u in range(3) for v in range(3) if u != v]
-    for r in range(len(pairs) + 1):
-        for arcs in itertools.combinations(pairs, r):
-            g = Digraph.of(3, arcs)
-            brute, _ = _strict_exhaustive(add_loops(g), 2)
-            assert brute == h_loops(g, 2).max_fix
+    # on the four loop-full 2-vertex graphs at q = 3
+    for r in range(3):
+        for arcs in itertools.combinations([(0, 1), (1, 0)], r):
+            g = Digraph.of(2, arcs)
+            brute, _ = _strict_exhaustive(add_loops(g), 3)
+            assert brute == h_loops(g, 3).max_fix
 
 
 def test_loopfull_lower_bound_corollary():
