@@ -171,16 +171,6 @@ def max_clique(adj, n, universe=None):
     return clique_search(adj, universe, charge=params._meter("max clique search nodes"))[0]
 
 
-def max_independent_set(adj, n, universe=None):
-    """Bitmask of a maximum independent set (clique of the complement), with
-    no bound on the search: a reference for checking the bounded ones."""
-    if universe is None:
-        universe = (1 << n) - 1
-    if all(adj[v] & universe == 0 for v in bits(universe)):
-        return universe
-    return clique_search(_complement(adj, universe), universe)[0]
-
-
 def maximal_cliques_containing(adj, seed_mask, allowed, charge=None):
     """All maximal cliques within `allowed` that contain `seed_mask`.
 

@@ -243,7 +243,8 @@ def strict_guessing_number(g, q):
     one distinct fix mask of an essential table, the child with the most
     states is popped first, and one that cannot beat the incumbent or
     whose (level, mask) was reached before is dropped.  COMBO_CAP counts
-    the candidate table rows and state tests first, then each AND's words.
+    the candidate table rows, once per in-degree, and the state tests
+    first, then each AND's words.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
@@ -267,11 +268,15 @@ def _strict_exhaustive(g, q):
     # candidate table rows scanned, state tests, and 64-bit words ANDed
     charge = meter("strict enumeration work", COMBO_CAP, "guesslab.guessing.COMBO_CAP")
     per_vertex = []
+    listed = {}  # in-degree -> its essential tables
     for v in range(g.n):
-        rows = q ** g.in_degree(v)
-        # past max(64, COMBO_CAP bits) rows q**rows is surely over it: stop there
-        charge(q ** min(rows, max(64, COMBO_CAP.bit_length() + 1)) * rows)
-        tables = _essential_local_tables(q, g.in_degree(v))
+        d = g.in_degree(v)
+        if d not in listed:
+            rows = q**d
+            # past max(64, COMBO_CAP bits) rows q**rows is surely over it: stop there
+            charge(q ** min(rows, max(64, COMBO_CAP.bit_length() + 1)) * rows)
+            listed[d] = _essential_local_tables(q, d)
+        tables = listed[d]
         charge(len(tables) * states)  # each table is tested on every state
         masks = {}
         for t, m in zip(tables, _fix_masks(g, q, v, tables)):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import _kernels
-from ._bitset import _complement, bits, max_clique, maximal_cliques_containing, subset_masks
+from ._bitset import _complement, bits, clique_search, max_clique, maximal_cliques_containing, subset_masks
 from .digraph import _peel
 from .errors import PreconditionError, check_bound, meter
 
@@ -45,9 +45,8 @@ def _find_short_cycle(out_masks, mask):
     for s in bits(mask):
         if out_masks[s] >> s & 1:
             return (s,)
-        # BFS from s back to s
-        dist = {s: 0}
-        parent = {}
+        # BFS from s back to s; parent holds every vertex reached
+        parent = {s: None}
         frontier = [s]
         found = None
         while frontier and found is None:
@@ -57,8 +56,7 @@ def _find_short_cycle(out_masks, mask):
                     if w == s:
                         found = u
                         break
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
+                    if w not in parent:
                         parent[w] = u
                         nxt.append(w)
                 if found is not None:
@@ -142,11 +140,12 @@ def _meter(what):
 
 
 def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
-    """Directed cycles through v inside mask with no shorter v-cycle inside
-    their vertex set, as (vertex mask, cycle) pairs.  Forward chords and
-    interior arcs back to v are pruned, which preserves at least one
-    optimal packing.  Each path, before it tries its arcs, passes charge
-    one unit per arc per path vertex: what the cycles it lists can hold."""
+    """Directed cycles through v inside mask, as (vertex mask, cycle) pairs:
+    every chordless one, and some others; the loop alone if v has one.
+    Paths from v are cut at forward chords and closed at the first arc
+    back to v, so no listed cycle's vertex set holds a shorter cycle
+    through v.  Each path, before it tries its arcs, passes charge one
+    unit per arc per path vertex: what the cycles it lists can hold."""
     charge = charge or (lambda units: None)
     if out_masks[v] >> v & 1:
         charge(1)
@@ -175,73 +174,53 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
     return cycles
 
 
-def _max_packing(n, through):
-    """(count, pieces): a largest family of vertex-disjoint pieces inside
-    range(n).  through(mask, charge) gives a vertex v of mask and the pieces
-    inside mask through v, as (vertex mask, piece) pairs, or None if mask
-    holds no piece; each mask either leaves v out or uses one piece through
-    it.  Each mask not met before costs one unit of work, and through
-    charges its pieces.  Depth first over an explicit stack, which holds
-    masks to visit and, under their parts, (mask, v, pieces) to settle."""
-    memo = {}
-    charge = _meter("packing search masks and pieces")
-    stack = [(1 << n) - 1]
-    while stack:
-        mask = stack.pop()
-        if isinstance(mask, tuple):  # its parts are known: settle it
-            mask, v, pieces = mask
-            best = memo[mask & ~(1 << v)]
-            for used, piece in pieces:
-                cnt, rest = memo[mask & ~used]
-                if cnt + 1 > best[0]:
-                    best = (cnt + 1, (piece,) + rest)
-            memo[mask] = best
-        elif mask not in memo:
-            charge(1)
-            found = through(mask, charge)
-            if found is None:
-                memo[mask] = (0, ())
-                continue
-            v, pieces = found
-            stack.append((mask, v, pieces))
-            stack += [mask & ~used for used, _ in reversed(pieces)]
-            stack.append(mask & ~(1 << v))
-    return memo[(1 << n) - 1]
+def _max_disjoint(pieces, charge):
+    """(count, pieces): a largest family of vertex-disjoint pieces from a
+    list of (vertex mask, piece) pairs, in list order.  It is a maximum
+    clique of the graph joining every two disjoint pieces, whose row for a
+    piece clears the pieces holding any of its vertices.  Building a row charges
+    one unit per vertex of the piece per 64 pieces, and each node of the
+    clique search that many units.  Only a loop has fewer than two
+    vertices, so the search stops once it reaches the loops plus half the
+    other covered vertices."""
+    words = -(-len(pieces) // 64)
+    holders = {}  # vertex -> bitmask of the pieces through it
+    for i, (used, _) in enumerate(pieces):
+        for v in bits(used):
+            holders[v] = holders.get(v, 0) | 1 << i
+    everything = (1 << len(pieces)) - 1
+    adj = []
+    for used, _ in pieces:
+        charge(used.bit_count() * words)
+        clash = 0
+        for v in bits(used):
+            clash |= holders[v]
+        adj.append(everything & ~clash)
+    loops = sum(used.bit_count() == 1 for used, _ in pieces)
+    target = loops + (len(holders) - loops) // 2
+    family = clique_search(adj, everything, target=target, charge=lambda units: charge(units * words))[0]
+    return family.bit_count(), tuple(pieces[i][1] for i in bits(family))
 
 
 def max_disjoint_cycles(g):
-    """(count, cycles): a maximum family of vertex-disjoint directed cycles."""
-    in_masks = g.in_masks()
-    out_masks = g.out_masks()
-    undirected = g.is_undirected()
-
-    def through(mask, charge):
-        if undirected:
-            # a loop or an edge is a cycle: the lowest such vertex is the
-            # lowest vertex of the shortest cycle _find_short_cycle returns
-            v = next((v for v in bits(mask) if out_masks[v] & mask), None)
-        else:
-            short = _find_short_cycle(out_masks, mask)
-            v = None if short is None else min(short)
-        if v is None:
-            return None
-        return v, _minimal_cycles_through(out_masks, in_masks, mask, v, charge)
-
-    return _max_packing(g.n, through)
+    """(count, cycles): a maximum family of vertex-disjoint directed cycles.
+    The shortest cycle inside a cycle's vertex set is chordless, so some
+    maximum family is made of chordless cycles, each listed through its
+    lowest vertex."""
+    in_masks, out_masks = g.in_masks(), g.out_masks()
+    charge = _meter("disjoint cycle listing and search")
+    everything = (1 << g.n) - 1
+    cycles = []
+    for v in range(g.n):
+        cycles += _minimal_cycles_through(out_masks, in_masks, everything >> v << v, v, charge)
+    return _max_disjoint(cycles, charge)
 
 
 def max_matching(g):
     """Maximum matching size over the symmetric (undirected) edges."""
     adj = _sym_adj(g)
-
-    def through(mask, charge):
-        for u in bits(mask):
-            if adj[u] & mask:
-                charge((adj[u] & mask).bit_count())
-                return u, [(1 << u | 1 << w, (u, w)) for w in bits(adj[u] & mask)]
-        return None
-
-    return _max_packing(g.n, through)[0]
+    edges = [(1 << u | 1 << w, (u, w)) for u in range(g.n) for w in bits(adj[u] >> u << u)]
+    return _max_disjoint(edges, _meter("matching search"))[0]
 
 
 def _clique_covers(g, pairs, budget):

@@ -130,12 +130,12 @@ def test_directed_acyclic_set_search_is_not_bounded_by_the_call_stack(monkeypatc
 
 @pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
 def test_routing_searches_refuse_past_the_cycle_cap(monkeypatch, search):
-    # both pack the disjoint cycles first, which takes 2,547 units of work here
+    # both pack the disjoint cycles first, which takes 892 units of work here
     g = random_digraph(random.Random(26), 13, p=0.3)
-    monkeypatch.setattr(params, "WORK_CAP", 2546)
+    monkeypatch.setattr(params, "WORK_CAP", 891)
     with pytest.raises(ResourceBoundError) as exc:
         search(g)
-    assert exc.value.needed == 2547 > exc.value.cap == 2546 and exc.value.knob
+    assert exc.value.needed == 892 > exc.value.cap == 891 and exc.value.knob
 
 
 def test_strict_refuses_before_building_masks(monkeypatch):
@@ -151,12 +151,25 @@ def test_strict_refuses_before_building_masks(monkeypatch):
 
 
 def test_max_matching_refuses_past_its_cap(monkeypatch):
-    # the packing search takes 2,053 units of work on K12, and more on K13
-    monkeypatch.setattr(params, "WORK_CAP", 2053)
-    assert max_matching(complete_graph(12)) == 12 // 2
+    # K13: 78 edges, so 2 words per row; each row of 2 vertices costs 4 units,
+    # and the greedy clique already holds 6 = 13 // 2 edges, which closes it
+    monkeypatch.setattr(params, "WORK_CAP", 311)
     with pytest.raises(ResourceBoundError) as exc:
         max_matching(complete_graph(13))
-    assert exc.value.needed > exc.value.cap == 2053 and exc.value.knob == "guesslab.params.WORK_CAP"
+    assert exc.value.needed == 312 > exc.value.cap == 311 and exc.value.knob == "guesslab.params.WORK_CAP"
+    monkeypatch.setattr(params, "WORK_CAP", 312)
+    assert max_matching(complete_graph(13)) == 13 // 2
+
+
+def test_disjoint_pieces_answer_at_the_default_cap():
+    # 110 2-cycles (2i, 2i + 1) chained by the arcs (2i, 2i + 2); the
+    # matching of K30; and an undirected G(40, 0.5)
+    chain = Digraph.of(220, [(v, v ^ 1) for v in range(220)] + [(2 * i, 2 * i + 2) for i in range(109)])
+    assert max_disjoint_cycles(chain)[0] == 110
+    assert max_matching(complete_graph(30)) == 15
+    rng = random.Random(0)
+    edges = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5]
+    assert max_disjoint_cycles(Digraph.of(40, edges + [(v, u) for u, v in edges]))[0] == 20
 
 
 @pytest.mark.parametrize(
@@ -325,10 +338,10 @@ KNOB_CALLS = [
     ("coding.STATE_LIMIT", 256, lambda: count_fixed_linear(clique_solution(4, 4)), (64, None)),
     # K3: c = 1 < k = 2, so the conflict graph is built on its 2**3 states
     ("guessing.STATE_CAP", 8, lambda: guessing_number(complete_graph(3), 2).max_fix, 4),
-    # 3 vertices of in-degree 1, each with 4 candidate tables of 2 rows and
-    # 2 essential tables tested on 8 states; then 2 one-word ANDs at each of
-    # the 4 nodes that can still beat the incumbent when popped
-    ("guessing.COMBO_CAP", 80, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
+    # 4 candidate tables of 2 rows for in-degree 1, listed once; at each of
+    # the 3 vertices 2 essential tables tested on 8 states; then 2 one-word
+    # ANDs at each of the 4 nodes that can still beat the incumbent when popped
+    ("guessing.COMBO_CAP", 64, lambda: strict_guessing_number(directed_cycle(3), 2).max_fix, 2),
     ("linear.SEARCH_CAP", 8, lambda: linear_guessing(directed_cycle(3), 2).max_fix, 2),
     # c = 3 < k = 4 and gn = 10: the clique search runs to the end, in
     # label order and then in reverse degeneracy order
@@ -361,9 +374,11 @@ WORK_CALLS = [
     # undirected: one unit per node of the independent-set search, which
     # passes its 16 vertices in label order and starts again reordered
     ("acyclic_number-undirected", 28, lambda: acyclic_number(clebsch_graph()), 5),
-    # a unit per mask, and per arc per path vertex for the cycles listed
-    ("max_disjoint_cycles", 136, lambda: max_disjoint_cycles(gk_family(4)), (3, ((1, 4), (2, 5), (3, 6)))),
-    ("max_matching", 16, lambda: max_matching(complete_graph(4)), 2),
+    # a unit per arc per path vertex for the cycles listed, then per vertex
+    # of each piece's row and per clique-search node, times the words of a
+    # row (one per 64 pieces); here the greedy clique reaches the bound
+    ("max_disjoint_cycles", 78, lambda: max_disjoint_cycles(gk_family(4)), (3, ((0, 3), (1, 4), (2, 5)))),
+    ("max_matching", 12, lambda: max_matching(complete_graph(4)), 2),
     # a unit per cover node and per call of the maximal-clique listing
     ("min_clique_partition", 57, lambda: min_clique_partition(clebsch_graph()), 8),
     ("is_vertex_full", 8, lambda: is_vertex_full(undirected_cycle(4)), True),

@@ -149,8 +149,8 @@ def test_solvable_routing_on_clebsch(capsys, tmp_path):
 
 
 def test_solvable_routing_on_a_long_path(capsys, monkeypatch):
-    # 1,200 vertices, c = k = 600: the packing search keeps its own stack,
-    # so depth is no bar below the work cap
+    # 1,200 vertices, c = k = 600: every search keeps its own stack, so
+    # depth is no bar below the work cap
     path = symmetrized(Digraph.of(1200, [(i, i + 1) for i in range(1199)]))
     code, out, _ = run_cli(
         capsys, ["solvable", "-", "--routing", "--json"], stdin=emit_dot(path), monkeypatch=monkeypatch

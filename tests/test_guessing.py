@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import _kernels, guessing, params
-from guesslab._bitset import max_independent_set
+from guesslab._bitset import _complement, clique_search
 from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
 from guesslab.errors import PreconditionError, ResourceBoundError, meter
@@ -57,6 +57,12 @@ def brute_force_max_fix(g, q):
     return max(int((acc & fix0).sum(axis=1).max()) for fix0 in fixes[0])
 
 
+def max_independent_set(adj, universe):
+    """Bitmask of a maximum independent set within universe (a clique of
+    the complement), with no bound on the search."""
+    return clique_search(_complement(adj, universe), universe)[0]
+
+
 def plain_max_fix(g, q):
     """Oracle: a maximum independent set of the conflict graph over all q**n
     states, with no symmetry used, one connected component at a time.  x and
@@ -70,7 +76,7 @@ def plain_max_fix(g, q):
         conflict |= same & (states[:, None, v] != states[None, :, v])
     adj = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in conflict]
     return sum(
-        max_independent_set(adj, len(states), sum(1 << v for v in comp)).bit_count()
+        max_independent_set(adj, sum(1 << v for v in comp)).bit_count()
         for comp in nx.connected_components(nx.from_numpy_array(conflict))
     )
 

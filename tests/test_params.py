@@ -118,20 +118,6 @@ def test_loops_count_as_cycles():
     assert c == 2
 
 
-def test_undirected_packing_returns_the_cycles_of_the_directed_scan(monkeypatch):
-    # undirected graphs pick their branching vertex without the short-cycle
-    # BFS; the directed path must still return the very same cycles
-    rng = random.Random(9)
-    graphs = []
-    for _ in range(300):
-        g = symmetrized(random_digraph(rng, rng.randint(1, 9), p=rng.choice([0.2, 0.4, 0.6])))
-        loops = [(v, v) for v in range(g.n) if rng.random() < 0.15]
-        graphs.append(Digraph.of(g.n, set(g.arcs) | set(loops)))
-    got = [max_disjoint_cycles(g) for g in graphs]
-    monkeypatch.setattr(Digraph, "is_undirected", lambda self: False)
-    assert got == [max_disjoint_cycles(g) for g in graphs]
-
-
 def test_matching():
     assert max_matching(complete_graph(4)) == 2
     assert max_matching(Digraph.of(3, [(0, 1)])) == 0  # one-way arc is no edge
@@ -367,7 +353,11 @@ def check_covers_and_packings(g, covers=True):
     assert min_clique_partition(g) == cp
     assert is_vertex_full(g) == (cp == alpha)
     assert max_matching(g) == plain_max_matching(g)
-    assert max_disjoint_cycles(g) == plain_disjoint_cycles(g)
+    c, cycles = max_disjoint_cycles(g)
+    assert c == len(cycles) == plain_disjoint_cycles(g)[0]
+    used = [v for cyc in cycles for v in cyc]
+    assert len(used) == len(set(used))
+    assert all(g.has_arc(cyc[i - 1], v) for cyc in cycles for i, v in enumerate(cyc))
     if covers:
         assert min(cover_sizes(g, vertices, g.n)) == cp
         assert bool(cover_sizes(g, vertices, alpha)) == (cp == alpha)
