@@ -142,10 +142,13 @@ def _meter(what):
 def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
     """Directed cycles through v inside mask, as (vertex mask, cycle) pairs:
     every chordless one, and some others; the loop alone if v has one.
-    Paths from v are cut at forward chords and closed at the first arc
-    back to v, so no listed cycle's vertex set holds a shorter cycle
-    through v.  Each path, before it tries its arcs, passes charge one
-    unit per arc per path vertex: what the cycles it lists can hold."""
+    Cycles longer than two keep to the vertices that reach v inside mask,
+    found first if v has an arc that is not one of a 2-cycle, at one unit
+    per vertex whose in-arcs are read.  Paths from v are cut at forward
+    chords and closed at the first arc back to v, so no listed cycle's
+    vertex set holds a shorter cycle through v.  Each path, before it
+    tries its arcs, passes charge one unit per arc per path vertex: what
+    the cycles it lists can hold."""
     charge = charge or (lambda units: None)
     if out_masks[v] >> v & 1:
         charge(1)
@@ -154,9 +157,17 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
     out_v = out_masks[v] & mask & ~(1 << v)
     charge(out_v.bit_count())
     cycles = [(1 << v | 1 << w, (v, w)) for w in bits(out_v & in_masks[v])]
+    reach = frontier = 1 << v if out_v & ~in_masks[v] else 0
+    while frontier:
+        charge(frontier.bit_count())
+        back = 0
+        for u in bits(frontier):
+            back |= in_masks[u]
+        frontier = back & mask & ~reach
+        reach |= frontier
     # depth first over the chordless paths from v: [path, its mask, the
     # out-neighbours of all its vertices but the last, arcs left to try]
-    frames = [[[v], 1 << v, 0, out_v & ~in_masks[v]]]
+    frames = [[[v], 1 << v, 0, out_v & ~in_masks[v] & reach]]
     while frames:
         path, path_mask, chords, left = frame = frames[-1]
         if not left:
@@ -168,7 +179,7 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
             cycles.append((path_mask | 1 << w, tuple(path) + (w,)))
             continue
         chords |= out_masks[path[-1]]
-        step = out_masks[w] & mask & ~path_mask & ~(1 << w)
+        step = out_masks[w] & reach & ~path_mask & ~(1 << w)
         charge((len(path) + 1) * step.bit_count())
         frames.append([path + [w], path_mask | 1 << w, chords, step & ~chords])
     return cycles
@@ -176,51 +187,102 @@ def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
 
 def _max_disjoint(pieces, charge):
     """(count, pieces): a largest family of vertex-disjoint pieces from a
-    list of (vertex mask, piece) pairs, in list order.  It is a maximum
-    clique of the graph joining every two disjoint pieces, whose row for a
-    piece clears the pieces holding any of its vertices.  Building a row charges
-    one unit per vertex of the piece per 64 pieces, and each node of the
-    clique search that many units.  Only a loop has fewer than two
-    vertices, so the search stops once it reaches the loops plus half the
-    other covered vertices."""
-    words = -(-len(pieces) // 64)
-    holders = {}  # vertex -> bitmask of the pieces through it
-    for i, (used, _) in enumerate(pieces):
-        for v in bits(used):
-            holders[v] = holders.get(v, 0) | 1 << i
-    everything = (1 << len(pieces)) - 1
-    adj = []
-    for used, _ in pieces:
-        charge(used.bit_count() * words)
-        clash = 0
-        for v in bits(used):
-            clash |= holders[v]
-        adj.append(everything & ~clash)
-    loops = sum(used.bit_count() == 1 for used, _ in pieces)
-    target = loops + (len(holders) - loops) // 2
-    family = clique_search(adj, everything, target=target, charge=lambda units: charge(units * words))[0]
-    return family.bit_count(), tuple(pieces[i][1] for i in bits(family))
+    list of (vertex mask, piece) pairs, in list order.
+
+    A piece whose vertices, all but one, lie in no other piece meets at
+    most one piece of any family, so some largest family holds it: such
+    pieces are taken, and the pieces they meet dropped, until none is
+    left.  The rest falls into parts, pieces joined by shared vertices,
+    solved apart.  A loop is always taken or dropped that way, so no
+    family in a part beats half the vertices the part covers; a greedy
+    family, in list order or in the order the part was met, often
+    reaches that.
+    Otherwise the part's family is a maximum clique of the graph joining
+    every two of its disjoint pieces, whose row for a piece clears the
+    pieces holding any of its vertices.  The listing pays for these
+    linear passes; a part's rows are charged one unit per word (a word
+    per 64 pieces) before any is built, and each node of its clique
+    search that many units."""
+    holders = {}  # vertex -> indices of the pieces through it
+    for i, (mask, _) in enumerate(pieces):
+        for v in bits(mask):
+            holders.setdefault(v, []).append(i)
+    count = {v: len(held) for v, held in holders.items()}  # live pieces through v
+    live, chosen = set(range(len(pieces))), []
+    queue = list(range(len(pieces)))  # pieces that may have become takeable
+    while queue:
+        i = queue.pop()
+        if i in live and sum(count[v] > 1 for v in bits(pieces[i][0])) <= 1:
+            chosen.append(i)
+            dropped = {j for v in bits(pieces[i][0]) for j in holders[v]} & live
+            live -= dropped
+            for u in (u for j in dropped for u in bits(pieces[j][0])):
+                count[u] -= 1
+                if count[u] == 1:
+                    queue += [j for j in holders[u] if j in live]
+    while live:  # the rest, one part of pieces joined by shared vertices at a time
+        part, stack, covered = [], [live.pop()], 0
+        while stack:
+            part.append(stack.pop())
+            covered |= pieces[part[-1]][0]
+            for v in bits(pieces[part[-1]][0]):
+                more = [j for j in holders.pop(v, ()) if j in live]
+                live.difference_update(more)
+                stack += more
+        half, best = covered.bit_count() // 2, []
+        for order in (sorted(part), part):  # list order, then the order pieces were met in
+            family, used = [], 0
+            for i in order:
+                if not pieces[i][0] & used:
+                    family.append(i)
+                    used |= pieces[i][0]
+            best = max(best, family, key=len)
+        if len(best) < half:
+            part.sort()
+            words = -(-len(part) // 64)
+            charge(len(part) * words)
+            held = {}  # vertex -> bitmask of the positions in part through it
+            for k, i in enumerate(part):
+                for v in bits(pieces[i][0]):
+                    held[v] = held.get(v, 0) | 1 << k
+            everything = (1 << len(part)) - 1
+            adj = []
+            for i in part:
+                clash = 0
+                for v in bits(pieces[i][0]):
+                    clash |= held[v]
+                adj.append(everything & ~clash)
+            family = clique_search(adj, everything, target=half, charge=lambda units: charge(units * words))[0]
+            best = [part[k] for k in bits(family)]
+        chosen += best
+    chosen.sort()
+    return len(chosen), tuple(pieces[i][1] for i in chosen)
 
 
 def max_disjoint_cycles(g):
     """(count, cycles): a maximum family of vertex-disjoint directed cycles.
     The shortest cycle inside a cycle's vertex set is chordless, so some
     maximum family is made of chordless cycles, each listed through its
-    lowest vertex."""
+    lowest vertex; the others listed, whose vertices have more than one
+    out-neighbour on the cycle, are dropped."""
     in_masks, out_masks = g.in_masks(), g.out_masks()
     charge = _meter("disjoint cycle listing and search")
     everything = (1 << g.n) - 1
     cycles = []
     for v in range(g.n):
         cycles += _minimal_cycles_through(out_masks, in_masks, everything >> v << v, v, charge)
-    return _max_disjoint(cycles, charge)
+    chordless = [(used, cyc) for used, cyc in cycles if all((out_masks[u] & used).bit_count() == 1 for u in cyc)]
+    return _max_disjoint(chordless, charge)
 
 
 def max_matching(g):
-    """Maximum matching size over the symmetric (undirected) edges."""
-    adj = _sym_adj(g)
-    edges = [(1 << u | 1 << w, (u, w)) for u in range(g.n) for w in bits(adj[u] >> u << u)]
-    return _max_disjoint(edges, _meter("matching search"))[0]
+    """Maximum matching size over the symmetric (undirected) edges, one
+    unit per edge, counted before they are listed."""
+    later = [m >> u + 1 << u + 1 for u, m in enumerate(_sym_adj(g))]
+    charge = _meter("matching search")
+    charge(sum(m.bit_count() for m in later))
+    edges = [(1 << u | 1 << w, (u, w)) for u, m in enumerate(later) for w in bits(m)]
+    return _max_disjoint(edges, charge)[0]
 
 
 def _clique_covers(g, pairs, budget):

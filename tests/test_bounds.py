@@ -130,12 +130,12 @@ def test_directed_acyclic_set_search_is_not_bounded_by_the_call_stack(monkeypatc
 
 @pytest.mark.parametrize("search", [is_routing_solvable, lambda g: routing_witness(g, 2)])
 def test_routing_searches_refuse_past_the_cycle_cap(monkeypatch, search):
-    # both pack the disjoint cycles first, which takes 892 units of work here
+    # both pack the disjoint cycles first, which takes 835 units of work here
     g = random_digraph(random.Random(26), 13, p=0.3)
-    monkeypatch.setattr(params, "WORK_CAP", 891)
+    monkeypatch.setattr(params, "WORK_CAP", 834)
     with pytest.raises(ResourceBoundError) as exc:
         search(g)
-    assert exc.value.needed == 892 > exc.value.cap == 891 and exc.value.knob
+    assert exc.value.needed == 835 > exc.value.cap == 834 and exc.value.knob
 
 
 def test_strict_refuses_before_building_masks(monkeypatch):
@@ -151,25 +151,65 @@ def test_strict_refuses_before_building_masks(monkeypatch):
 
 
 def test_max_matching_refuses_past_its_cap(monkeypatch):
-    # K13: 78 edges, so 2 words per row; each row of 2 vertices costs 4 units,
-    # and the greedy clique already holds 6 = 13 // 2 edges, which closes it
-    monkeypatch.setattr(params, "WORK_CAP", 311)
-    with pytest.raises(ResourceBoundError) as exc:
-        max_matching(complete_graph(13))
-    assert exc.value.needed == 312 > exc.value.cap == 311 and exc.value.knob == "guesslab.params.WORK_CAP"
-    monkeypatch.setattr(params, "WORK_CAP", 312)
+    # K13: its 78 edges are one charge, made before any is listed, so a cap
+    # of 0 is passed by all of them at once; the greedy family already
+    # holds 6 = 13 // 2 of them, so no row is built
+    for cap in (0, 77):
+        monkeypatch.setattr(params, "WORK_CAP", cap)
+        with pytest.raises(ResourceBoundError) as exc:
+            max_matching(complete_graph(13))
+        assert exc.value.needed == 78 > exc.value.cap == cap and exc.value.knob == "guesslab.params.WORK_CAP"
+    monkeypatch.setattr(params, "WORK_CAP", 78)
     assert max_matching(complete_graph(13)) == 13 // 2
+
+
+def _undirected(n, edges):
+    return Digraph.of(n, edges + [(v, u) for u, v in edges])
 
 
 def test_disjoint_pieces_answer_at_the_default_cap():
     # 110 2-cycles (2i, 2i + 1) chained by the arcs (2i, 2i + 2); the
-    # matching of K30; and an undirected G(40, 0.5)
+    # matching of K30; an undirected G(40, 0.5); and a directed one
     chain = Digraph.of(220, [(v, v ^ 1) for v in range(220)] + [(2 * i, 2 * i + 2) for i in range(109)])
     assert max_disjoint_cycles(chain)[0] == 110
     assert max_matching(complete_graph(30)) == 15
     rng = random.Random(0)
     edges = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.5]
-    assert max_disjoint_cycles(Digraph.of(40, edges + [(v, u) for u, v in edges]))[0] == 20
+    assert max_disjoint_cycles(_undirected(40, edges))[0] == 20
+    # a loopless digraph G(40, 0.5): 20 2-cycles, once the listed cycles
+    # with a chord are dropped
+    assert max_disjoint_cycles(random_digraph(random.Random(0), 40, 0.5))[0] == 20
+
+
+@pytest.mark.parametrize("g, want", [
+    # the greedy family reaches half the vertices: a 6,000-vertex path
+    (lambda: _undirected(6000, [(i, i + 1) for i in range(5999)]), 3000),
+    # pieces with a vertex of their own are taken: a star with 9,999 leaves
+    (lambda: _undirected(10000, [(0, i) for i in range(1, 10000)]), 1),
+    # parts are solved apart: 3,000 disjoint triangles
+    (lambda: _undirected(9000, [(3 * i + j, 3 * i + (j + 1) % 3) for i in range(3000) for j in range(3)]), 3000),
+], ids=["path", "star", "triangles"])
+def test_long_sparse_graphs_answer_at_the_default_cap(g, want):
+    g = g()
+    assert max_matching(g) == want
+    assert max_disjoint_cycles(g)[0] == want
+
+
+def test_long_directed_cycle_lists_only_through_its_first_vertex():
+    # a cycle through v keeps to the vertices that reach v among those
+    # above it, which for v > 0 is v alone: only vertex 0 extends paths
+    assert max_disjoint_cycles(directed_cycle(1200)) == (1, (tuple(range(1200)),))
+
+
+def test_dense_rows_are_refused_before_they_are_built():
+    # K_{50,1000}: 50,000 edges, a matching of 50 short of half the 1,050
+    # vertices, and none taken at once; its rows, 782 words each, would
+    # hold 300 MB, so they are charged whole before any is built
+    g = _undirected(1050, [(u, w) for u in range(50) for w in range(50, 1050)])
+    for search in (max_matching, max_disjoint_cycles):
+        with pytest.raises(ResourceBoundError) as exc:
+            search(g)
+        assert exc.value.needed == 50_000 + 50_000 * 782 and exc.value.cap == params.WORK_CAP
 
 
 @pytest.mark.parametrize(
@@ -374,11 +414,12 @@ WORK_CALLS = [
     # undirected: one unit per node of the independent-set search, which
     # passes its 16 vertices in label order and starts again reordered
     ("acyclic_number-undirected", 28, lambda: acyclic_number(clebsch_graph()), 5),
-    # a unit per arc per path vertex for the cycles listed, then per vertex
-    # of each piece's row and per clique-search node, times the words of a
-    # row (one per 64 pieces); here the greedy clique reaches the bound
-    ("max_disjoint_cycles", 78, lambda: max_disjoint_cycles(gk_family(4)), (3, ((0, 3), (1, 4), (2, 5)))),
-    ("max_matching", 12, lambda: max_matching(complete_graph(4)), 2),
+    # a unit per arc per path vertex for the cycles listed, and per vertex
+    # whose in-arcs are read to find what reaches v; the greedy family
+    # reaches half the covered vertices, so no row is built
+    ("max_disjoint_cycles", 75, lambda: max_disjoint_cycles(gk_family(4)), (3, ((0, 3), (1, 4), (2, 5)))),
+    # a unit per edge, counted before they are listed
+    ("max_matching", 6, lambda: max_matching(complete_graph(4)), 2),
     # a unit per cover node and per call of the maximal-clique listing
     ("min_clique_partition", 57, lambda: min_clique_partition(clebsch_graph()), 8),
     ("is_vertex_full", 8, lambda: is_vertex_full(undirected_cycle(4)), True),
