@@ -39,9 +39,12 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
 
     The search colours in label order.  If it has not finished after
     |universe| nodes, it starts again in reverse degeneracy order (label 0
-    is the last vertex a min-degree peel removes), from its incumbent; the
-    peel costs O(|universe| + edges), no more than colouring those nodes
-    did.  nodes, orbit_pruned and the charge cover both passes.
+    is the last vertex a min-degree peel removes), from its incumbent.  The
+    peel and the relabelling are not charged: they take O(|universe| +
+    edges) word operations, no more than colouring those nodes did, but
+    they walk the edges one at a time in Python, so on a large dense graph
+    they can take longer than the first pass.  nodes, orbit_pruned and the
+    charge cover both passes.
     """
     m = universe.bit_count()
     if target is None:

@@ -279,17 +279,25 @@ def is_compatible(g, vertices, mode="strong"):
 
 
 def _compatible(in_masks, inside, order, weak):
-    """is_compatible on in-bitmasks, for an acyclic I given by its mask and peel order."""
-    outside = [x for x in range(len(in_masks)) if not inside >> x & 1]
-    for u in outside:
-        counts = _path_counts(in_masks, inside, order, u)
-        for v in outside:
-            if u == v:
-                continue
-            cnt = counts[v]
-            if in_masks[v] >> u & 1:
-                if cnt < 1:
-                    return False
-            elif cnt == 1 or (cnt and not weak):
+    """is_compatible on in-bitmasks, for an acyclic I given by its mask and peel order.
+
+    One pass, I in peel order and then the outside vertices, counts the
+    paths from every outside source at once, saturated at 2: one[v] and
+    two[v] are the bitmasks of the sources u with at least one and at least
+    two u -> v paths whose internal vertices lie in I, entering I at once
+    if v is in I.  Counts add as two |= two[j] | one & one[j] and
+    one |= one[j], the carry taken before one grows.
+    """
+    outside = (1 << len(in_masks)) - 1 & ~inside
+    one, two = {}, {}
+    for v in [*order, *bits(outside)]:
+        o, t = in_masks[v] & outside if inside >> v & 1 else 0, 0
+        for j in bits(in_masks[v] & inside):
+            o, t = o | one[j], t | two[j] | o & one[j]
+        one[v], two[v] = o, t
+        if not inside >> v & 1:
+            # an arc needs a path; a non-arc needs none, or (weak) not exactly one
+            bad = in_masks[v] & ~o | (o & ~t if weak else o) & ~in_masks[v]
+            if bad & outside & ~(1 << v):
                 return False
     return True

@@ -214,21 +214,23 @@ def linear_guessing(g, q, mode="g"):
     knob = "guesslab.linear.SEARCH_CAP"
     patterns = 1 << m if mode == "g" else 1
     check_bound(f"coefficient patterns, 2**{m}", patterns, SEARCH_CAP, knob)
-    if phi == 1:  # every present arc is free and has one unit: a matrix per pattern
-        kept, total = None, patterns
-    else:
+    # composite q enumerates all q**n states of every matrix
+    states = 1 if prime else q**n
+    kept = None
+    # a pattern S has at most |S| free arcs, so only a bound past the cap needs the count
+    if (1 + phi if mode == "g" else phi) ** m * states > SEARCH_CAP:
         # a few blocks of patterns are labelled once, for both the count and the scan
         kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
         hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
                    for _, free in kept or _pattern_blocks(arcs, n, mode, phi))
         total = sum(int(c) * phi**k for k, c in enumerate(hist))
-    # composite q enumerates all q**n states of every matrix
-    what, needed = ("gauge-fixed coefficient matrices", total) if prime else (
-        "gauge-fixed matrix states", total * q**n)
-    check_bound(what, needed, SEARCH_CAP, knob)
+        what = "gauge-fixed coefficient matrices" if prime else "gauge-fixed matrix states"
+        check_bound(what, total * states, SEARCH_CAP, knob)
     bound = q ** params.feedback_number(g)
-    # list the units only if some arc is free: a forest at a huge prime q needs none
-    unit = np.array(units(q) if total > patterns else (1,), dtype=dt)
+    # list the units only if some arc is free: a forest at a huge prime q needs none.
+    # Free arcs only grow with the pattern, so the pattern of every arc decides
+    (_, free), = _pattern_blocks(arcs, n, "h", phi)
+    unit = np.array(units(q) if phi > 1 and free.any() else (1,), dtype=dt)
     tails, heads = np.array(arcs, dtype=np.intp).reshape(m, 2).T
     minus_identity = np.eye(n, dtype=dt) * (q - 1)  # loops add to it; ranks read mod q
     best = 0, None, None  # fixed points as a Python int (q**dim can pass int64), dim, vals
@@ -349,22 +351,36 @@ def prove_not_linearly_solvable(g):
     # ends of the removed arc can have turned acyclic
     upper = subset_masks(n, alpha + 1)
     holding = [[m for m in upper if m >> u & m >> v & 1] for u, v in arcs]
+    # a set's acyclicity in H depends only on the arcs inside it that H lacks,
+    # so it is memoised per (set, those arcs); inner[set]: the arcs inside it
+    inner, acyclic, width = {}, {}, len(arcs)
     charge = params._meter("vertex sets tested by the prover")
-    stack = [(g.in_masks(), -1)]
+    stack = [(g.in_masks(), 0, -1)]  # gone: the arcs of G that H lacks, by index
     while stack:
-        ins, j = stack.pop()
+        ins, gone, j = stack.pop()
         if j >= 0:
             u, v = arcs[j]
             ins = ins.copy()
             ins[v] &= ~(1 << u)
-            # an (alpha+1)-set turned acyclic: k fell, so H leaves the sweep
-            drop = next((i for i, m in enumerate(holding[j]) if _peel(ins, m) is not None), None)
-            charge(len(holding[j]) if drop is None else drop + 1)
-            if drop is not None:
+            gone |= 1 << j
+            # an (alpha+1)-set turned acyclic: k fell, so H leaves the sweep;
+            # each set tested is charged, whether the memo answers it or not
+            for tested, m in enumerate(holding[j], 1):
+                key = m << width | gone & (inner.get(m) or inner.setdefault(
+                    m, sum(1 << i for i, (a, b) in enumerate(arcs) if m >> a & m >> b & 1)))
+                found = acyclic.get(key)
+                if found is None:
+                    found = acyclic[key] = _peel(ins, m) is not None
+                if found:
+                    break
+            else:
+                tested = 0
+            charge(tested or len(holding[j]))
+            if tested:
                 continue
         hit = _weak_violation(ins, alpha_sets)
         charge(len(alpha_sets) if hit is None else hit + 1)
         if hit is None:  # every maximum acyclic set of H is weakly compatible
             return Certificate(INCONCLUSIVE)
-        stack += [(ins, i) for i in range(len(arcs) - 1, j, -1)]
+        stack += [(ins, gone, i) for i in range(len(arcs) - 1, j, -1)]
     return Certificate(NOT_LINEARLY_SOLVABLE)

@@ -8,6 +8,9 @@ from guesslab._bitset import bits
 from guesslab.constructions import fig1_graph, fig6_graph, gk_family
 from guesslab.digraph import (
     Digraph,
+    _compatible,
+    _path_counts,
+    _peel,
     add_loops,
     bidirectional_union,
     count_paths_through,
@@ -265,6 +268,41 @@ def test_path_counts_and_compatibility_match_path_enumeration(g):
         )
         assert is_compatible(g, sub, "strong") == strong
         assert is_compatible(g, sub, "weak") == weak
+
+
+def plain_compatible(in_masks, inside, order, weak):
+    """Oracle: exact path counts from one outside source u at a time, then
+    every outside v other than u checked against them."""
+    outside = [x for x in range(len(in_masks)) if not inside >> x & 1]
+    for u in outside:
+        counts = _path_counts(in_masks, inside, order, u)
+        for v in outside:
+            if u == v:
+                continue
+            cnt = counts[v]
+            if in_masks[v] >> u & 1:
+                if cnt < 1:
+                    return False
+            elif cnt == 1 or (cnt and not weak):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compatible_matches_the_per_source_scan(seed):
+    # every acyclic subset, in both modes, of random digraphs with loops
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(40):
+        g = random_digraph(rng, rng.randint(1, 7), p=rng.uniform(0.15, 0.6), loops=True)
+        ins = g.in_masks()
+        for inside in range(1, 1 << g.n):
+            order = _peel(ins, inside)
+            for weak in (False, True) if order is not None else ():
+                verdict = _compatible(ins, inside, order, weak)
+                assert verdict == plain_compatible(ins, inside, order, weak)
+                verdicts.add((weak, verdict))
+    assert len(verdicts) == 4
 
 
 def test_topological_order_deterministic():

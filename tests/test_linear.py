@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from guesslab import _kernels, linear, params
@@ -238,6 +238,21 @@ def test_scan_below_the_feedback_bound_runs_to_the_end():
     assert rep.closed_by == "exhausted" and rep.scanned == 4149
 
 
+def test_free_arcs_are_counted_only_when_the_bound_could_pass_the_cap(monkeypatch):
+    # K(2,4) at q = 3 has at most (1 + 2)**16 gauge-fixed matrices, under the
+    # cap, so they are not counted; the stop rule ends the scan early
+    g = named("K", 2, 4).graph
+    rep = linear_guessing(g, 3, "g")
+    assert (rep.max_fix, rep.scanned, rep.closed_by) == (9, 27116, "stop-rule")
+    # under a cap below 3**16 the exact count, 1,416,161, decides
+    monkeypatch.setattr(linear, "SEARCH_CAP", 1_416_160)
+    with pytest.raises(ResourceBoundError, match="gauge-fixed coefficient matrices") as exc:
+        linear_guessing(g, 3, "g")
+    assert exc.value.needed == 1_416_161
+    monkeypatch.setattr(linear, "SEARCH_CAP", 1_416_161)
+    assert linear_guessing(g, 3, "g") == rep
+
+
 def test_q2_refuses_its_patterns_before_any_rank(monkeypatch):
     # q = 2 labels no forest, so only the pattern count stands before the ranks
     def ranked(*_):
@@ -394,8 +409,17 @@ def plain_prove(g):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(digraphs(max_n=6))
+@example(gk_family(3))
+@example(gk_family(4, "minimal"))
 def test_prover_matches_the_plain_sweep(g):
     assert prove_not_linearly_solvable(g).verdict == plain_prove(g)
+
+
+def test_prover_refuses_gk4_maximal_at_a_pinned_count():
+    # the acyclicity memo answers most (alpha+1)-sets but charges each one
+    with pytest.raises(ResourceBoundError, match="tested by the prover") as exc:
+        prove_not_linearly_solvable(gk_family(4, "maximal"))
+    assert (exc.value.needed, exc.value.cap) == (1_048_578, params.WORK_CAP)
 
 
 def test_prover_matches_the_plain_sweep_on_small_graphs():
