@@ -4,9 +4,11 @@
   by growing state prefixes one vertex at a time and dropping each prefix
   as soon as a vertex whose inputs it sets is not fixed; memory is bounded
   by `STATE_BLOCK` codes per level, not by the q**n states.
+- `gf2_ranks`: ranks over GF(2) of a batch of matrices with each row packed
+  into a machine word (the M4RI idea, Albrecht-Bard-Hart 2010), by
+  XOR-basis insertion.
 - `modular_ranks`: ranks over GF(q) of a batch of square matrices, by a
-  swap-free elimination; over GF(2) each row is packed into one machine
-  word and eliminated by XOR (the M4RI idea, Albrecht-Bard-Hart 2010).
+  swap-free elimination; GF(2) batches of n <= 64 are packed for `gf2_ranks`.
 - `ids_size_counts`: in-dominating sets counted by size, over all subsets.
 
 There is one implementation per kernel; `backend()` names it.
@@ -88,26 +90,31 @@ def fixed_point_mask(n, q, supports, tables):
 # batched rank over GF(q)
 # ---------------------------------------------------------------------------
 #
-# Both eliminations are swap-free: for each column the first row that is
-# nonzero there is the pivot, and a multiple of it is subtracted from every
+# The elimination over GF(q) is swap-free: for each column the first row that
+# is nonzero there is the pivot, and a multiple of it is subtracted from every
 # row that is nonzero there, the pivot row included.  The pivot row becomes
 # zero, so it retires itself with no row swap and no gather or scatter of
 # whole matrices; the rank is the number of columns that found a pivot.
 
 
-def _ranks_gf2_packed(mats):
-    """GF(2) ranks with each row of at most 64 columns in one uint64."""
-    B, n, _ = mats.shape
-    weights = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    rows = (mats & 1).astype(np.uint64) @ weights
-    ranks = np.zeros(B, dtype=np.int64)
-    bidx = np.arange(B)
-    for c in range(n):
-        has = (rows & weights[c]) != 0
-        prow = rows[bidx, has.argmax(axis=1)]
-        rows ^= np.where(has, prow[:, None], np.uint64(0))
-        ranks += (prow & weights[c]) != 0
-    return ranks
+def gf2_ranks(rows):
+    """GF(2) ranks of B matrices from packed rows: rows[i, b] is row i of matrix
+    b, a bit per column, in an unsigned dtype of enough bits (the narrowest is
+    fastest) or as Python ints in an object array; rows is unchanged.
+
+    Each row x is reduced by the rows kept before it, in order, by
+    x = minimum(x, x ^ b), then kept.  x ^ b differs from x only in b's leading
+    bit and below, so the step clears that bit from x and sets none higher.  By
+    induction a kept row has every earlier kept row's leading bit clear, so no
+    later step sets one again: the nonzero kept rows have distinct leading bits,
+    so they are independent, and a row in the span of the earlier rows reduces
+    to 0.  The rank is the number of nonzero kept rows.
+    """
+    kept = np.array(rows, order="C")
+    for i, x in enumerate(kept):
+        for b in kept[:i]:
+            np.minimum(x, x ^ b, out=x)
+    return np.count_nonzero(kept, axis=0)
 
 
 def _narrowest_dtype(q):
@@ -170,15 +177,17 @@ def _ranks_mod(mats, q):
 def modular_ranks(mats, q):
     """Ranks over GF(q), q prime, of a (B, n, n) integer batch; mats is unchanged.
 
-    Entries are read mod q.  Raises PreconditionError when (q-1)**2 + q
-    does not fit in int64.
+    Entries are read mod q; at q = 2 and n <= 64 the rows are packed into the
+    narrowest unsigned dtype of n bits for `gf2_ranks`.  Raises
+    PreconditionError when (q-1)**2 + q does not fit in int64.
     """
     mats = np.asarray(mats)
     B, n = mats.shape[0], mats.shape[1]
     if B == 0 or n == 0:
         return np.zeros(B, dtype=np.int64)
     if q == 2 and n <= 64:
-        return _ranks_gf2_packed(mats)
+        dt = np.min_scalar_type((1 << n) - 1)
+        return gf2_ranks(((mats & 1).astype(dt) @ (dt.type(1) << np.arange(n, dtype=dt))).T)
     return _ranks_mod(mats, q)
 
 

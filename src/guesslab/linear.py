@@ -138,10 +138,11 @@ def _pattern_blocks(arcs, n, mode, phi):
     grown in arc order with a component label per vertex and row (loops
     never join it); with one unit (q = 2) every present arc is free."""
     m = len(arcs)
+    width = -(-m // 8)  # the low bytes of a big-endian code that hold its m bits
     for lo, hi in _ramp(1 << m if mode == "g" else 1):
         if mode == "g":
-            codes = np.arange(lo, hi, dtype=">u8").view(np.uint8)
-            present = np.unpackbits(codes.reshape(-1, 8), axis=1)[:, 64 - m :].view(bool)
+            codes = np.arange(lo, hi, dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+            present = np.unpackbits(codes, axis=1)[:, 8 * width - m :].view(bool)
         else:
             present = np.ones((1, m), dtype=bool)
         tree = np.zeros_like(present)
@@ -152,16 +153,13 @@ def _pattern_blocks(arcs, n, mode, phi):
                     lu, li = label[:, u, None], label[:, i, None]
                     tree[:, j] = present[:, j] & (lu != li)[:, 0]
                     label = np.where(tree[:, j, None] & (label == li), lu, label)
-        yield present, present & ~tree
+        yield present, (present & ~tree if phi > 1 else present)
 
 
 def _coefficient_batches(present, free, phi, unit):
-    """Coefficients on the arcs of a block's gauge-fixed matrices in unit's
-    dtype, in _ramp batches: forest arcs carry 1, absent arcs 0, and each
+    """Coefficients on the arcs of a block's gauge-fixed matrices, phi > 1, in
+    unit's dtype and _ramp batches: forest arcs carry 1, absent arcs 0, and each
     pattern's free arcs count up through the units, the first most significant."""
-    if phi == 1:  # one matrix per pattern, so the block is one batch
-        yield present.astype(unit.dtype)
-        return
     # place[:, j]: phi**(free arcs after arc j), the weight of arc j's unit digit
     place = phi ** (np.cumsum(free[:, ::-1], axis=1)[:, ::-1] - free)
     counts = phi ** free.sum(axis=1)
@@ -172,6 +170,18 @@ def _coefficient_batches(present, free, phi, unit):
         p = np.searchsorted(starts, k, side="right") - 1
         digits = (k - starts[p])[:, None] // place[p] % phi
         yield np.where(free[p], unit[digits], present[p])
+
+
+def _gf2_rows(present, heads, tails, n):
+    """(n, B) rows of A - I over GF(2) for a block of zero patterns, in the
+    narrowest unsigned dtype of n bits (Python ints past 64): row i has bit u
+    per present arc (u, i), and bit i unless a present loop on i cancels it."""
+    dt = np.min_scalar_type((1 << n) - 1)
+    bit = dt.type(1) << np.arange(n, dtype=dt)
+    rows = np.repeat(bit[:, None], len(present), axis=1)
+    for j, (i, u) in enumerate(zip(heads, tails)):
+        rows[i] ^= present[:, j] * bit[u : u + 1]  # an array, not a scalar: keeps dt
+    return rows
 
 
 def _coefficient_function(vals, arcs, n, q):
@@ -216,32 +226,39 @@ def linear_guessing(g, q, mode="g"):
     check_bound(f"coefficient patterns, 2**{m}", patterns, SEARCH_CAP, knob)
     # composite q enumerates all q**n states of every matrix
     states = 1 if prime else q**n
-    kept = None
+    # the pattern of every arc is mode h's one block; free arcs only grow with
+    # the pattern, so whether it has any decides below if the units are listed
+    (_, free), = every = list(_pattern_blocks(arcs, n, "h", phi))
+    kept = every if mode == "h" else None
     # a pattern S has at most |S| free arcs, so only a bound past the cap needs the count
     if (1 + phi if mode == "g" else phi) ** m * states > SEARCH_CAP:
         # a few blocks of patterns are labelled once, for both the count and the scan
-        kept = list(_pattern_blocks(arcs, n, mode, phi)) if patterns <= SEARCH_BATCH else None
+        if kept is None and patterns <= SEARCH_BATCH:
+            kept = list(_pattern_blocks(arcs, n, mode, phi))
         hist = sum(np.bincount(free.sum(axis=1), minlength=m + 1)
                    for _, free in kept or _pattern_blocks(arcs, n, mode, phi))
         total = sum(int(c) * phi**k for k, c in enumerate(hist))
         what = "gauge-fixed coefficient matrices" if prime else "gauge-fixed matrix states"
         check_bound(what, total * states, SEARCH_CAP, knob)
     bound = q ** params.feedback_number(g)
-    # list the units only if some arc is free: a forest at a huge prime q needs none.
-    # Free arcs only grow with the pattern, so the pattern of every arc decides
-    (_, free), = _pattern_blocks(arcs, n, "h", phi)
+    # list the units only if some arc is free: a forest at a huge prime q needs none
     unit = np.array(units(q) if phi > 1 and free.any() else (1,), dtype=dt)
     tails, heads = np.array(arcs, dtype=np.intp).reshape(m, 2).T
     minus_identity = np.eye(n, dtype=dt) * (q - 1)  # loops add to it; ranks read mod q
     best = 0, None, None  # fixed points as a Python int (q**dim can pass int64), dim, vals
     scanned, closed_by = 0, "exhausted"
+    # at q = 2 a pattern is its own matrix, so a block is one batch
     batches = (vals for present, free in kept or _pattern_blocks(arcs, n, mode, phi)
-               for vals in _coefficient_batches(present, free, phi, unit))
+               for vals in ([present] if q == 2 else
+                            _coefficient_batches(present, free, phi, unit)))
     for vals in batches:
         if prime:
-            mats = np.repeat(minus_identity[None], len(vals), axis=0)
-            mats[:, heads, tails] += vals
-            dims = n - _kernels.modular_ranks(mats, q)
+            if q == 2:  # rows packed straight from the pattern bits
+                dims = n - _kernels.gf2_ranks(_gf2_rows(vals, heads, tails, n))
+            else:
+                mats = np.repeat(minus_identity[None], len(vals), axis=0)
+                mats[:, heads, tails] += vals
+                dims = n - _kernels.modular_ranks(mats, q)
             idx = int(np.argmax(dims))
             fix, dim = q ** int(dims[idx]), int(dims[idx])
         else:

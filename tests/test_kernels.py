@@ -96,6 +96,33 @@ def test_gf2_ranks_wider_than_one_word(kind):
     assert got.tolist() == [slow_rank(m, 2) for m in mats]
 
 
+def packed_rows(mats):
+    """(n, B) rows of a (B, n, n) batch, bit u of row i holding mats[b, i, u] mod 2,
+    as Python ints, packed one bit at a time."""
+    B, n = mats.shape[0], mats.shape[1]
+    return [[sum((int(mats[b, i, u]) & 1) << u for u in range(n)) for b in range(B)]
+            for i in range(n)]
+
+
+# each dtype's widest n and the next n, which needs the next dtype
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 16, 17, 32, 33, 63, 64])
+@pytest.mark.parametrize("kind", ["random", "deficient", "identity", "zero"])
+def test_gf2_ranks_at_the_dtype_edges(n, kind):
+    mats = _batch(kind, 2, n, 5, seed=n)
+    want = [slow_rank(m, 2) for m in mats]
+    dt = np.min_scalar_type((1 << n) - 1)
+    rows = np.array(packed_rows(mats), dtype=dt).reshape(n, 5)
+    before = rows.copy()
+    assert _kernels.gf2_ranks(rows).tolist() == want
+    assert np.array_equal(rows, before)
+    # Python ints in an object array, and the packing done by modular_ranks
+    assert _kernels.gf2_ranks(rows.astype(object)).tolist() == want
+    assert _kernels.modular_ranks(mats, 2).tolist() == want
+    if kind == "deficient" and n:
+        assert max(want) < n
+    assert _kernels.gf2_ranks(np.zeros((n, 0), dtype=dt)).shape == (0,)
+
+
 def test_ranks_at_the_int64_limit():
     mats = _batch("random", LARGEST_INT64_PRIME, 4, 3, seed=3)
     mats[0, 3] = (2 * mats[0, 1] + 5 * mats[0, 2]) % LARGEST_INT64_PRIME

@@ -259,11 +259,42 @@ def test_q2_refuses_its_patterns_before_any_rank(monkeypatch):
         raise AssertionError("rank taken")
 
     monkeypatch.setattr(_kernels, "modular_ranks", ranked)
+    monkeypatch.setattr(_kernels, "gf2_ranks", ranked)
     g = complete_graph(6)
     assert 2 ** len(g.arcs) > linear.SEARCH_CAP
     with pytest.raises(ResourceBoundError) as exc:
         linear_guessing(g, 2, "g")
     assert exc.value.knob == "guesslab.linear.SEARCH_CAP" and exc.value.needed == 2**30
+    # the traps do catch the q = 2 scan's ranks, in both modes
+    for mode in "gh":
+        with pytest.raises(AssertionError, match="rank taken"):
+            linear_guessing(complete_graph(3), 2, mode)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(digraphs(max_n=10), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(add_loops(Digraph.of(70, {(0, 1), (1, 0), (69, 3)})), 3, 0)
+def test_q2_rows_are_packed_from_the_pattern_bits(g, size, seed):
+    # rows of A - I, loops cancelling their diagonal bit, against the matrices
+    # the other primes build, each row packed bit by bit (n = 70 packs Python ints)
+    arcs = g.arcs_sorted()
+    present = np.random.default_rng(seed).integers(0, 2, size=(size, len(arcs))).astype(bool)
+    tails, heads = np.array(arcs, dtype=np.intp).reshape(len(arcs), 2).T
+    mats = np.repeat(-np.eye(g.n, dtype=np.int64)[None], size, axis=0)
+    mats[:, heads, tails] += present
+    want = [[sum((int(mats[b, i, u]) & 1) << u for u in range(g.n)) for b in range(size)]
+            for i in range(g.n)]
+    rows = linear._gf2_rows(present, heads, tails, g.n)
+    assert rows.shape == (g.n, size) and rows.tolist() == want
+    assert rows.dtype == np.min_scalar_type((1 << g.n) - 1)
+
+
+@pytest.mark.parametrize("mode", "gh")
+def test_q2_scan_wider_than_one_word_matches_the_plain_scan(mode):
+    g = Digraph.of(70, {(0, 1), (1, 0), (2, 2), (3, 69), (69, 3), (68, 68)})
+    max_fix, dim, first = plain_linear_guessing(g, 2, mode)
+    rep = linear_guessing(g, 2, mode)
+    assert (rep.max_fix, rep.dim, rep.witness) == (max_fix, dim, first)
 
 
 def test_strict_witness_support_is_exact():
