@@ -44,7 +44,7 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
     edges) word operations, no more than colouring those nodes did, but
     they walk the edges one at a time in Python, so on a large dense graph
     they can take longer than the first pass.  nodes, orbit_pruned and the
-    charge cover both passes.
+    charge cover both passes.  clique_by_parts splits universe first.
     """
     m = universe.bit_count()
     if target is None:
@@ -63,6 +63,30 @@ def clique_search(adj, universe, seed=0, target=None, orbits=None, charge=None):
         None if orbits is None else [relabel(orbits[v]) for v in old], charge, None,
     )
     return sum(1 << old[i] for i in bits(best)), nodes + more, pruned + dropped
+
+
+def clique_by_parts(adj, universe, seed=0, target=None, orbits=None, charge=None):
+    """clique_search on each part of universe, with its return value.  The
+    parts are the connected components of the complement within universe,
+    lowest vertex first: a maximum clique joins a maximum one from each.
+    Each part starts from `seed` within it and aims at `target` less what
+    the others hold; once the parts hold `target`, no more are searched.
+    An automorphism taking a vertex of a part into it maps the part onto
+    itself, so `orbits` serve every part."""
+    clique, nodes, pruned, left = seed, 0, 0, universe
+    while left and (target is None or clique.bit_count() < target):
+        part = todo = left & -left
+        while todo:  # the part's vertices not yet expanded, lowest first
+            low = todo & -todo
+            new = ~adj[low.bit_length() - 1] & left & ~part
+            part |= new
+            todo = (todo ^ low) | new
+        left &= ~part
+        rest = clique & ~part
+        goal = None if target is None else target - rest.bit_count()
+        found, spent, dropped = clique_search(adj, part, seed & part, goal, orbits, charge)
+        clique, nodes, pruned = rest | found, nodes + spent, pruned + dropped
+    return clique, nodes, pruned
 
 
 def _peel_order(adj, universe):
@@ -165,13 +189,13 @@ def _search(adj, universe, seed, target, orbits, charge, limit):
 
 def max_clique(adj, n, universe=None):
     """Bitmask of a maximum clique of the graph given by adjacency bitmasks,
-    refused past params.WORK_CAP search nodes, read when called."""
+    by clique_by_parts, refused past params.WORK_CAP nodes, read when called."""
     # read here, not passed in: perfbench/spans.py counts this function's
     # work from (adj, n, universe) alone; params imports this module
     from . import params
 
     universe = (1 << n) - 1 if universe is None else universe
-    return clique_search(adj, universe, charge=params._meter("max clique search nodes"))[0]
+    return clique_by_parts(adj, universe, charge=params._meter("max clique search nodes"))[0]
 
 
 def maximal_cliques_containing(adj, seed_mask, allowed, charge=None):

@@ -118,11 +118,7 @@ def _require_graph(obj, what):
 
 def _cmd_guess(args):
     g = _require_graph(_load(args.file), "guess")
-    report = (
-        strict_guessing_number(g, args.q)
-        if args.strict
-        else guessing_number(g, args.q)
-    )
+    report = (strict_guessing_number if args.strict else guessing_number)(g, args.q)
     payload = {
         "kind": report.kind,
         "q": args.q,

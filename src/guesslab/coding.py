@@ -19,6 +19,11 @@ from .errors import PreconditionError, VertexRangeError, check_bound
 STATE_LIMIT = 1 << 24
 
 
+def _check(what, needed):
+    """Refuses `needed` states or table rows over STATE_LIMIT."""
+    check_bound(what, needed, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+
+
 def _axis_runs(q, d, table, p):
     """The q values of a big-endian table along input p, one run per setting of the others."""
     stride = q ** (d - 1 - p)
@@ -83,7 +88,7 @@ class CodingFunction:
     @classmethod
     def from_state_functions(cls, n, q, fns):
         """Build from callables over full states; supports become essential."""
-        check_bound(f"states, {q}**{n}", q**n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+        _check(f"states, {q}**{n}", q**n)
         full = tuple(range(n))
         states = list(map(tuple, _kernels._digits(np.arange(q**n), n, q).tolist()))
         tables = tuple(tuple(int(fns[v](x)) % q for x in states) for v in range(n))
@@ -137,8 +142,7 @@ def _substitute(f, i, cum):
     q = f.q
     inputs = sorted({w for u in sup for w in (cum[u].inputs if u in cum else (u,))})
     rows = q ** len(inputs)
-    check_bound(f"substituted rows, {q}**{len(inputs)}", rows, STATE_LIMIT,
-                "guesslab.coding.STATE_LIMIT")
+    _check(f"substituted rows, {q}**{len(inputs)}", rows)
     table = np.asarray(f.tables[i])
     inner = {u: np.asarray(cum[u].table) for u in sup if u in cum}
     out = np.empty(rows, dtype=np.int64)
@@ -214,14 +218,14 @@ def reduce_set(f, vertices):
 
 def fixed_points(f):
     """All states with f(x) = x, lexicographically sorted tuples."""
-    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    _check(f"states, {f.q}**{f.n}", f.q**f.n)
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     digs = _kernels._digits(np.nonzero(mask)[0], f.n, f.q)
     return tuple(map(tuple, digs.tolist()))
 
 
 def count_fixed_points(f):
-    check_bound(f"states, {f.q}**{f.n}", f.q**f.n, STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    _check(f"states, {f.q}**{f.n}", f.q**f.n)
     mask = _kernels.fixed_point_mask(f.n, f.q, f.supports, f.tables)
     return int(mask.sum())
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, coding, params
-from ._bitset import _complement, bits, clique_search
+from ._bitset import _complement, bits, clique_by_parts
 from .coding import CodingFunction, _essential_positions
 from .digraph import Digraph, add_loops, strip_loops
 from .errors import PreconditionError, check_bound, meter
@@ -93,20 +93,6 @@ def _conflict_rows(digs, q, clash):
     return adj
 
 
-def _components(adj, universe):
-    """Bitmasks of the connected components of the graph within universe."""
-    while universe:
-        comp = frontier = universe & -universe
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= adj[v]
-            frontier = reach & universe & ~comp
-            comp |= frontier
-        universe &= ~comp
-        yield comp
-
-
 def _witness_from_states(g, q, chosen_codes):
     """Tables on the in-neighbourhoods that fix the chosen consistent states."""
     digs = _kernels._digits(chosen_codes, g.n, q)
@@ -144,18 +130,18 @@ def guessing_number(g, q):
     same size.  Translating a maximum set by one of its own states puts state
     0 in it; so the answer is 1 plus a maximum independent set among the
     states that do not conflict with 0, where x and y conflict iff x - y
-    conflicts with 0.  That set is searched one connected component at a
-    time; the witness extends the chosen partial tables by zero.
+    conflicts with 0.  _bitset.clique_by_parts searches that set one
+    connected component at a time; the witness extends the chosen partial
+    tables by zero.
 
     The answer lies between q**c, which routing along c disjoint cycles
     attains, and q**k, the feedback bound.  When c = k that is the answer
-    (`method` "routing-sandwich", no search).  Otherwise each component
-    starts from the routing fixed points inside it, and the search stops
-    once 1 plus the components' incumbents reaches q**k.  For q >= 3, once
-    the root of a component has branched on a state, the states with its
-    support leave that root (see _root_orbits).  The q**n states of the
-    conflict graph count against STATE_CAP, and the search nodes, over all
-    components, against params.WORK_CAP.
+    (`method` "routing-sandwich", no search).  Otherwise the search starts
+    from the routing fixed points and stops once 1 plus what the components
+    hold reaches q**k (closed_by "stop-rule").  For q >= 3, once the root
+    of a component has branched on a state, the states with its support
+    leave that root (see _root_orbits).  The q**n conflict states count
+    against STATE_CAP, and the search nodes against params.WORK_CAP.
     """
     if q < 2:
         raise PreconditionError("alphabet size must be at least 2")
@@ -176,25 +162,12 @@ def guessing_number(g, q):
     weights = np.array([sum(q ** (g.n - 1 - v) for v in cyc) for cyc in cycles], dtype=np.int64)
     codes = _kernels._digits(np.arange(q ** len(cycles)), len(cycles), q) @ weights
     seed = sum(1 << int(i) for i in np.searchsorted(universe, codes[1:]))
-    comps = list(_components(adj, (1 << len(universe)) - 1))
-    found = [seed & comp for comp in comps]  # solved: exact; unsolved: seeded
-    total = seed.bit_count()
-    nodes = pruned = 0
-    closed = "exhausted"
-    charge = params._meter("clique-search nodes")
-    for i, comp in enumerate(comps):
-        target = q**k - 1 - (total - found[i].bit_count())
-        sol, spent, dropped = clique_search(_complement(adj, comp), comp, found[i], target, orbits, charge)
-        nodes += spent
-        pruned += dropped
-        total += sol.bit_count() - found[i].bit_count()
-        found[i] = sol
-        if total + 1 >= q**k:
-            # no component can do better: the unsearched ones keep their seeds
-            closed = "stop-rule"
-            break
-    chosen = [0] + universe[list(bits(sum(found)))].tolist()
+    full = (1 << len(universe)) - 1
+    found, nodes, pruned = clique_by_parts(
+        _complement(adj, full), full, seed, q**k - 1, orbits, params._meter("clique-search nodes"))
+    chosen = [0] + universe[list(bits(found))].tolist()
     witness = _witness_from_states(g, q, chosen)
+    closed = "stop-rule" if len(chosen) == q**k else "exhausted"
     stats = SearchStats("conflict-graph-state-0-fixed", c, k, nodes, pruned, closed)
     return GuessingReport(g, q, "g", len(chosen), witness, stats.method, stats)
 
@@ -335,7 +308,7 @@ def loopfull_witness(g_loopless, q):
     n = g_loopless.n
     sups = tuple(tuple(sorted({v, *g_loopless.in_neighbors(v)})) for v in range(n))
     rows = sum(q ** len(sup) for sup in sups)
-    check_bound("witness table rows", rows, coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    coding._check("witness table rows", rows)
     tabs = []
     for v, sup in enumerate(sups):
         tab = _kernels._digits(np.arange(q ** len(sup)), len(sup), q)[:, sup.index(v)]
@@ -378,8 +351,7 @@ def routing_witness(g, q):
 def _routing(g, q, cycles):
     """routing_witness along the given vertex-disjoint cycles; the q rows of
     each cycle vertex's table count against coding.STATE_LIMIT."""
-    check_bound(f"routing table rows, {q} per cycle vertex", q * sum(map(len, cycles)),
-                coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    coding._check(f"routing table rows, {q} per cycle vertex", q * sum(map(len, cycles)))
     pred = {v: cyc[i - 1] for cyc in cycles for i, v in enumerate(cyc)}
     sups = tuple((pred[v],) if v in pred else () for v in range(g.n))
     tabs = tuple(tuple(range(q)) if v in pred else (0,) for v in range(g.n))

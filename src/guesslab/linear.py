@@ -116,7 +116,7 @@ def count_fixed_linear(f):
         m = (np.array(f.rows, dtype=np.int64) - np.eye(n, dtype=np.int64)) % q
         rank = int(_kernels.modular_ranks(m[None], q)[0])
         return q ** (n - rank), n - rank
-    check_bound(f"states, {q}**{n}", q**n, coding.STATE_LIMIT, "guesslab.coding.STATE_LIMIT")
+    coding._check(f"states, {q}**{n}", q**n)
     return count_fixed_points(f.to_coding_function()), None
 
 
@@ -321,8 +321,7 @@ def weak_compat_certificate(g):
     params.WORK_CAP sets before they are listed.
     """
     alpha = params.acyclic_number(g)
-    check_bound("vertex sets listed for the certificate", math.comb(g.n, alpha), params.WORK_CAP,
-                "guesslab.params.WORK_CAP")
+    params._check("vertex sets listed for the certificate", math.comb(g.n, alpha))
     alpha_sets = subset_masks(g.n, alpha)
     hit = _weak_violation(g.in_masks(), alpha_sets)
     if hit is None:
@@ -355,14 +354,13 @@ def prove_not_linearly_solvable(g):
     stands for H minus arcs[j], G itself for j = -1, and its children
     remove one more arc past arcs[j].
     """
-    knob = "guesslab.params.WORK_CAP"
     arcs = g.arcs_sorted()
     n, alpha = g.n, params.acyclic_number(g)
     # the alpha-sets, the (alpha+1)-sets, and per arc those holding its ends
     ends = [len({u, v}) for u, v in arcs]
     listed = math.comb(n, alpha) + math.comb(n, alpha + 1) + sum(
         math.comb(n - e, alpha + 1 - e) for e in ends if e <= alpha + 1)
-    check_bound("vertex sets listed by the prover", listed, params.WORK_CAP, knob)
+    params._check("vertex sets listed by the prover", listed)
     alpha_sets = subset_masks(n, alpha)
     # removing arcs is monotone, so only the (alpha+1)-sets holding both
     # ends of the removed arc can have turned acyclic

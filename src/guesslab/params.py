@@ -123,7 +123,7 @@ def all_max_acyclic_sets(g):
     """Every maximum acyclic set; the minimum feedback vertex sets are the
     complements."""
     alpha = acyclic_number(g)
-    check_bound("vertex sets listed", math.comb(g.n, alpha), WORK_CAP, "guesslab.params.WORK_CAP")
+    _check("vertex sets listed", math.comb(g.n, alpha))
     ins = g.in_masks()
     alpha_sets = subset_masks(g.n, alpha)
     return [frozenset(bits(m)) for m in alpha_sets if _peel(ins, m) is not None]
@@ -137,6 +137,11 @@ def min_feedback_vertex_sets(g):
 def _meter(what):
     """charge(units) for one search: refuses once its units pass WORK_CAP."""
     return meter(what, WORK_CAP, "guesslab.params.WORK_CAP")
+
+
+def _check(what, needed):
+    """Refuses a listing or sweep of `needed` units over WORK_CAP."""
+    check_bound(what, needed, WORK_CAP, "guesslab.params.WORK_CAP")
 
 
 def _minimal_cycles_through(out_masks, in_masks, mask, v, charge=None):
@@ -383,7 +388,7 @@ def is_edge_full(g):
 
 def in_dominating_counts(g):
     """counts[k] = number of in-dominating sets of size k.  Loopless only."""
-    check_bound(f"subsets swept, 2**{g.n}", 1 << g.n, WORK_CAP, "guesslab.params.WORK_CAP")
+    _check(f"subsets swept, 2**{g.n}", 1 << g.n)
     if not g.is_loopless():
         raise PreconditionError("in-dominating sets are defined for loopless graphs")
     in_masks = g.in_masks()

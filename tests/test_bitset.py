@@ -1,6 +1,7 @@
 """The max-clique search over an explicit stack, against the recursive
-search it replaced, past the node count at which it reorders, and on a
-clique deeper than Python's recursion limit."""
+search it replaced, past the node count at which it reorders, one part of
+the complement at a time, and on a clique deeper than Python's recursion
+limit."""
 
 import itertools
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guesslab import params
-from guesslab._bitset import _complement, _peel_order, bits, clique_search
+from guesslab._bitset import _complement, _peel_order, bits, clique_by_parts, clique_search
 from guesslab.cli import main
 from guesslab.digraph import Digraph
 from guesslab.errors import ResourceBoundError
@@ -178,6 +179,71 @@ def test_search_past_the_reorder(with_seed, with_target, with_orbits):
         assert charged == [1] * nodes
         crossed += nodes > universe.bit_count()
     assert crossed
+
+
+def complement_parts(adj, universe):
+    """The connected components of the complement within universe, as
+    bitmasks, lowest vertex first, by a plain search over vertex lists."""
+    parts, left = [], list(bits(universe))
+    while left:
+        part, todo = {left[0]}, [left[0]]
+        while todo:
+            v = todo.pop()
+            more = [u for u in left if u not in part and not adj[v] >> u & 1]
+            part.update(more)
+            todo += more
+        parts.append(sum(1 << v for v in part))
+        left = [v for v in left if v not in part]
+    return parts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 4), st.booleans(), st.booleans(), st.booleans())
+def test_parts_add_up(seed, count, joined, with_seed, with_target):
+    # 1-4 random graphs, side by side or each joined to all the others,
+    # under shuffled labels: with no edges between them the complement is
+    # one part, and joined the parts are (at most) the graphs themselves
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 7) for _ in range(count)]
+    n = sum(sizes)
+    label = rng.sample(range(n), n)
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    p = rng.choice([0.2, 0.5, 0.8])
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if (joined and block[u] != block[v]) or (block[u] == block[v] and rng.random() < p):
+            adj[label[u]] |= 1 << label[v]
+            adj[label[v]] |= 1 << label[u]
+    universe = sum(1 << v for v in range(n) if rng.random() < 0.9)
+    start = 0
+    if with_seed:  # a clique within universe, grown from random vertices
+        cand = universe
+        while cand and rng.random() < 0.8:
+            v = rng.choice(list(bits(cand)))
+            start |= 1 << v
+            cand &= adj[v]
+    omega = recursive_clique_search(adj, universe)[0].bit_count()
+    target = rng.randint(0, n + 1) if with_target else None
+    charged = []
+    clique, nodes, _ = clique_by_parts(adj, universe, start, target, None, charged.append)
+    assert clique & ~universe == 0
+    assert all((adj[v] | 1 << v) & clique == clique for v in bits(clique))
+    if target is None:
+        assert clique.bit_count() == omega
+    else:
+        assert clique.bit_count() >= min(target, omega)
+    assert charged == [1] * nodes
+    # the same as clique_search on each part in turn, from the seed inside
+    # it, aiming at what the other parts leave of the target
+    want = (start, 0, 0)
+    for part in complement_parts(adj, universe):
+        if target is not None and want[0].bit_count() >= target:
+            break
+        rest = want[0] & ~part
+        goal = None if target is None else target - rest.bit_count()
+        found, spent, dropped = clique_search(adj, part, start & part, goal)
+        want = (rest | found, want[1] + spent, want[2] + dropped)
+    assert (clique, nodes, 0) == want
 
 
 def naive_peel(adj, universe):

@@ -10,17 +10,19 @@ sandwich q**c <= answer <= q**k leaves a gap), coefficient matrices
 the prover's and the certificate's vertex sets, all maximum acyclic
 sets, and the in-dominating subsets.  The work only a search can know is
 charged as it runs to a meter (errors.meter) made when the search is
-called: against params.WORK_CAP, the max-clique search's nodes (one meter
-over all the guessing search's components), each search in params with
-the listings inside it (maximal cliques, cycles through a vertex),
-charged before they grow, the sets the prover's sweep tests and scans,
-and mindim's reduced forms with their table rows; against
+called: against params.WORK_CAP, the max-clique search's nodes (one
+meter over all the parts `_bitset.clique_by_parts` searches), each
+search in params with the listings inside it (maximal cliques, cycles
+through a vertex), charged before they grow, the sets the prover's
+sweep tests and scans, and mindim's reduced forms with their table
+rows; against
 guessing.COMBO_CAP, the strict enumeration's candidate table rows,
 counted before they are listed, its state tests, and the mask ANDs its
 depth-first search makes, charged as each node makes them.  No search
 is refused by vertex count, and none calls itself."""
 
 import ast
+import functools
 import inspect
 import math
 import pathlib
@@ -36,7 +38,7 @@ from guesslab._bitset import subset_masks
 from guesslab.cli import main
 from guesslab.coding import CodingFunction, min_net, mindim, reduce_vertex
 from guesslab.constructions import clebsch_graph, clique_solution, gk_family, grotzsch_graph, named
-from guesslab.digraph import Digraph
+from guesslab.digraph import Digraph, bidirectional_union
 from guesslab.errors import ResourceBoundError, check_bound
 from guesslab.guessing import (
     guessing_number,
@@ -165,6 +167,10 @@ def test_max_matching_refuses_past_its_cap(monkeypatch):
 
 def _undirected(n, edges):
     return Digraph.of(n, edges + [(v, u) for u, v in edges])
+
+
+def _disjoint_c5us(m):
+    return _undirected(5 * m, [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(m) for j in range(5)])
 
 
 def test_disjoint_pieces_answer_at_the_default_cap():
@@ -414,6 +420,8 @@ WORK_CALLS = [
     # undirected: one unit per node of the independent-set search, which
     # passes its 16 vertices in label order and starts again reordered
     ("acyclic_number-undirected", 28, lambda: acyclic_number(clebsch_graph()), 5),
+    # 20 disjoint C5s: the search takes each cycle apart, 2 nodes each
+    ("acyclic_number-disjoint-C5u", 40, lambda: acyclic_number(_disjoint_c5us(20)), 40),
     # a unit per arc per path vertex for the cycles listed, and per vertex
     # whose in-arcs are read to find what reaches v; the greedy family
     # reaches half the covered vertices, so no row is built
@@ -423,6 +431,11 @@ WORK_CALLS = [
     # a unit per cover node and per call of the maximal-clique listing
     ("min_clique_partition", 57, lambda: min_clique_partition(clebsch_graph()), 8),
     ("is_vertex_full", 8, lambda: is_vertex_full(undirected_cycle(4)), True),
+    # the join of 20 C5s: the omega search takes the 20 parts of the
+    # complement apart, 2 nodes each, and 100 vertices outnumber what
+    # alpha = 2 cliques of omega = 40 can cover
+    ("is_vertex_full-joined-C5u", 40,
+     lambda: is_vertex_full(functools.reduce(bidirectional_union, [undirected_cycle(5)] * 20)), False),
     ("is_edge_full", 5, lambda: is_edge_full(complete_graph(4)), True),
     ("intersection_number", 11, lambda: intersection_number(undirected_cycle(5)), 5),
     ("min_intersection_model", 11, lambda: min_intersection_model(undirected_cycle(5), 5), C5U_MODEL),

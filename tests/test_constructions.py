@@ -136,6 +136,14 @@ def test_sls_construction_rejects_bad_sets():
         sls_construction(Digraph.of(1, [(0, 0)]), (0,))  # loop
 
 
+def test_sls_construction_of_an_arcless_graph():
+    # the empty set names an arcless graph, whose strict solution is the zero map
+    f = sls_construction(Digraph.of(3), [])
+    assert (f.n, f.q, f.rows) == (3, 2, ((0, 0, 0),) * 3)
+    with pytest.raises(PreconditionError, match="arcless"):
+        sls_construction(Digraph.of(3, [(0, 1)]), [])
+
+
 def test_embed_acyclic_inputs_come_back_unchanged():
     single_arc = Digraph.of(2, [(0, 1)])
     emb = embed_in_sls(single_arc)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from guesslab import _kernels, guessing, params
+from guesslab import _bitset, _kernels, guessing, params
 from guesslab._bitset import _complement, clique_search
 from guesslab.coding import CodingFunction, count_fixed_points, interaction_graph, min_net
 from guesslab.digraph import Digraph, add_loops, reduce_vertex, symmetrized
@@ -96,6 +96,12 @@ def test_fixing_state_0_matches_the_plain_search(case):
     assert rep.witness.evaluate((0,) * g.n) == (0,) * g.n
 
 
+def test_the_empty_graph_fixes_its_one_state():
+    # q**0 = 1 state, fixed by the empty function; no vertex has an in-neighbour
+    assert strict_guessing_number(Digraph.of(0), 2).max_fix == 1
+    assert h_loops(Digraph.of(0), 3).max_fix == 1
+
+
 def test_guessing_gk4_below_the_feedback_bound():
     g = gk_family(4)
     assert (g.n, acyclic_number(g)) == (7, 3)
@@ -104,13 +110,30 @@ def test_guessing_gk4_below_the_feedback_bound():
     assert count_fixed_points(rep.witness) == 10
 
 
-def test_guessing_searches_components_apart():
+def test_guessing_searches_components_apart(monkeypatch):
     # vertex 2 reads only itself, so states with different x_2 never
-    # conflict: the conflict graph is three copies of one graph, which the
-    # max-clique search does not finish in minutes when given whole
+    # conflict; but c = k = 2, so the sandwich answers 9 with no search
     arcs = [(0, 1), (0, 4), (2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 4), (4, 0), (4, 3)]
     g = Digraph.of(5, arcs)
     assert guessing_number(g, 3).max_fix == plain_max_fix(g, 3) == 9
+    # with c < k the search runs: one switch vertex splits C5u's conflict
+    # graph into 2 parts and two split it into 4, each searched on its own
+    real, parts = _bitset.clique_search, []
+
+    def search(adj, part, *rest):
+        parts.append(part)
+        return real(adj, part, *rest)
+
+    monkeypatch.setattr(_bitset, "clique_search", search)
+    for g, count, want in [
+        (switched(undirected_cycle(5)), 2, (10, 70, 0, "exhausted")),
+        (switched(switched(undirected_cycle(5))), 4, (20, 196, 0, "exhausted")),
+    ]:
+        parts.clear()
+        rep = guessing_number(g, 2)
+        assert len(parts) == count
+        assert (rep.max_fix, rep.stats.nodes, rep.stats.orbit_pruned, rep.stats.closed_by) == want
+        assert rep.max_fix == plain_max_fix(g, 2)
 
 
 def switched(g):

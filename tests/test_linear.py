@@ -53,6 +53,12 @@ def test_dim_fix_clique():
     assert cnt == 4 and dim == 2
 
 
+def test_linear_report_value_is_log_q_of_the_count():
+    # K3 at q = 2: 4 = 2**2 fixed points, the feedback bound
+    report = linear_guessing(complete_graph(3), 2, "g")
+    assert (report.max_fix, report.value) == (4, 2.0)
+
+
 def test_dim_fix_identity():
     ident = LinearCodingFunction(3, 5, tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3)))
     cnt, dim = count_fixed_linear(ident)

@@ -168,6 +168,19 @@ def test_ids_rejects_loops():
         in_dominating_counts(Digraph.of(1, [(0, 0)]))
 
 
+def test_ids_of_the_empty_graph():
+    # the one subset of no vertices dominates nothing, which is all it must
+    assert in_dominating_counts(Digraph.of(0)) == (1,)
+
+
+def test_intersection_models_reject_directed_graphs():
+    g = Digraph.of(2, [(0, 1)])
+    with pytest.raises(PreconditionError, match="undirected loopless"):
+        intersection_number(g)
+    with pytest.raises(PreconditionError, match="undirected loopless"):
+        min_intersection_model(g, 2)
+
+
 def test_intersection_model_examples():
     p3 = Digraph.of(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
     model = min_intersection_model(p3, 2)

@@ -67,6 +67,10 @@ def test_instance_validation():
         )
     with pytest.raises(PreconditionError):  # destination feeds its source
         UnicastInstance(pairs=((0, 1),), intermediates=(), arcs=frozenset({(1, 0)}))
+    with pytest.raises(PreconditionError, match="unknown node"):
+        UnicastInstance(pairs=((0, 1),), intermediates=(), arcs=frozenset({(0, 5)}))
+    with pytest.raises(PreconditionError, match="alphabet"):
+        UnicastInstance(pairs=((0, 1),), intermediates=(), arcs=frozenset(), q=1)
 
 
 def test_dot_round_trip_examples():
@@ -144,6 +148,18 @@ def test_parse_warnings():
         g = parse_dot("digraph { 0 [color=red]; 0 -> 1; }")
     assert g == Digraph.of(2, [(0, 1)])
     assert [str(w.message) for w in caught] == ["attribute list ignored"]
+
+
+def test_dot_bare_attribute_lists():
+    # an attribute list with no statement before it is skipped with a warning
+    with pytest.warns(SerializeWarning) as caught:
+        g = parse_dot("digraph { [color=red] 0; }")
+    assert g == Digraph.of(1)
+    assert [str(w.message) for w in caught] == ["attribute list ignored"]
+    # DOT's node/edge/graph defaults are not in the subset: `node` is no vertex id
+    with pytest.raises(ParseError, match="expected a vertex id, got 'node'") as err:
+        parse_dot("digraph { node [shape=box]; 0; }")
+    assert (err.value.line, err.value.column) == (1, 11)
 
 
 def test_dot_allows_graph_name():
